@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: the full tier-1 suite, then the serving layer, the obs
-# layer, and the netstack again under TSan — the admission queue, the pool
+# layer, the netstack, the edge, the core WFD/orchestrator tests and the
+# FAT volume again under TSan — the admission queue, the pool
 # warmer, the watchdog pipeline, the flight-ring seqlock, and the
 # poller/timer/backpressure paths are the most thread-heavy code in the
 # tree, so they get the race detector even when the full TSan suite would
@@ -39,6 +40,12 @@ ctest --test-dir "${BUILD}-tsan" -L netstack --output-on-failure
 # worker pool vs Stop()'s settle protocol — keep-alive, pipelining, the
 # connection cap, and idle reaping all run under the race detector.
 ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
+# Stage instances of one WFD run in parallel on their own cores, so they
+# really overlap inside the fd table, the FAT volume and the slot registry:
+# the core label (orchestrator fan-out over one WFD) and the fatfs label
+# (the volume under its own lock) run under the race detector too.
+ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
+ctest --test-dir "${BUILD}-tsan" -L fatfs --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

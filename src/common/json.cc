@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstdio>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace asbase {
 namespace {
 
@@ -152,10 +156,49 @@ class Parser {
     }
   }
 
+  // Index of the first '"', '\\' or control byte at or after `from`, or
+  // text_.size(): the end of the run ParseString can copy verbatim.
+  size_t FindStringSpecial(size_t from) const {
+    const char* data = text_.data();
+    const size_t size = text_.size();
+    size_t i = from;
+#ifdef __SSE2__
+    const __m128i quote = _mm_set1_epi8('"');
+    const __m128i backslash = _mm_set1_epi8('\\');
+    const __m128i max_control = _mm_set1_epi8(0x1F);
+    for (; i + 16 <= size; i += 16) {
+      const __m128i chunk =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+      // Unsigned byte <= 0x1F exactly when min(byte, 0x1F) == byte.
+      const __m128i control =
+          _mm_cmpeq_epi8(_mm_min_epu8(chunk, max_control), chunk);
+      const __m128i hit =
+          _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(chunk, quote),
+                                    _mm_cmpeq_epi8(chunk, backslash)),
+                       control);
+      const int mask = _mm_movemask_epi8(hit);
+      if (mask != 0) {
+        return i + static_cast<size_t>(__builtin_ctz(mask));
+      }
+    }
+#endif
+    for (; i < size; ++i) {
+      const unsigned char c = static_cast<unsigned char>(data[i]);
+      if (c == '"' || c == '\\' || c < 0x20) {
+        return i;
+      }
+    }
+    return size;
+  }
+
   Result<std::string> ParseString() {
     ++pos_;  // '"'
     std::string out;
     while (true) {
+      // Plain bytes go over in one append per run, not one push per byte.
+      const size_t run_end = FindStringSpecial(pos_);
+      out.append(text_.data() + pos_, run_end - pos_);
+      pos_ = run_end;
       if (AtEnd()) {
         return Fail("unterminated string");
       }
@@ -166,10 +209,7 @@ class Parser {
       if (static_cast<unsigned char>(c) < 0x20) {
         return Fail("unescaped control character in string");
       }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      // c == '\\'
       if (AtEnd()) {
         return Fail("unterminated escape");
       }

@@ -58,21 +58,6 @@ size_t ResolveShardCount(size_t requested) {
   return std::min(shards, kMaxShards);
 }
 
-// Shard i's core slice: cores {j : j mod N == i}. Empty (no affinity) when
-// the machine has fewer cores than shards — a 2-core box running 8 shards
-// should time-share, not fight over a bogus pin.
-std::vector<int> ShardCpus(size_t shard, size_t shard_count) {
-  const size_t cores = std::thread::hardware_concurrency();
-  if (cores < shard_count) {
-    return {};
-  }
-  std::vector<int> cpus;
-  for (size_t j = shard; j < cores; j += shard_count) {
-    cpus.push_back(static_cast<int>(j));
-  }
-  return cpus;
-}
-
 // Query-string value for `key` in an HTTP target ("/trace?workflow=x").
 std::string QueryParam(const std::string& target, const std::string& key) {
   const size_t question = target.find('?');
@@ -116,7 +101,7 @@ AsVisorRouter::AsVisorRouter(RouterOptions options) {
   rebalancer_options_ = RebalancerOptions::FromEnv(options.rebalancer);
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(MakeShard(i, shard_count));
+    shards_.push_back(MakeShard(i));
   }
   RebuildRingLocked(shard_count);
   asobs::Registry& registry = asobs::Registry::Global();
@@ -138,12 +123,10 @@ AsVisorRouter::~AsVisorRouter() {
   }
 }
 
-std::shared_ptr<AsVisor> AsVisorRouter::MakeShard(size_t index,
-                                                  size_t shard_count) const {
+std::shared_ptr<AsVisor> AsVisorRouter::MakeShard(size_t index) const {
   AsVisor::ShardIdentity identity;
   identity.index = static_cast<int>(index);
-  identity.cpus = ShardCpus(index, shard_count);
-  return std::make_shared<AsVisor>(std::move(identity));
+  return std::make_shared<AsVisor>(identity);
 }
 
 void AsVisorRouter::RebuildRingLocked(size_t shard_count) {
@@ -649,12 +632,6 @@ asbase::Status AsVisorRouter::MigrateWorkflowInternal(
   }
   AS_ASSIGN_OR_RETURN(AsVisor::WorkflowRegistration registration,
                       from->GetRegistration(workflow_name));
-  // The old shard stamped its core slice into the WFD options at
-  // registration; clear it so the new shard applies its own. An explicit
-  // caller-chosen affinity (different from the shard slice) survives.
-  if (registration.options.wfd.cpu_affinity == from->shard_cpus()) {
-    registration.options.wfd.cpu_affinity.clear();
-  }
   // A pin follows the migration — otherwise the next re-register would
   // bounce the workflow straight back.
   if (registration.options.pin_shard >= 0) {
@@ -714,16 +691,13 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
 
   if (target > old_count) {
     // Scale UP. Build + start the new shards before they become routable.
-    // New shards take core slices modulo the NEW count; existing shards
-    // keep their slices (re-pinning live stage workers isn't worth it) —
-    // overlap resolves as WFDs age out.
     std::vector<std::shared_ptr<AsVisor>> fresh;
     const size_t total_workers = [&] {
       std::shared_lock<std::shared_mutex> lock(routes_mutex_);
       return serving_total_.worker_threads;
     }();
     for (size_t i = old_count; i < target; ++i) {
-      std::shared_ptr<AsVisor> shard = MakeShard(i, target);
+      std::shared_ptr<AsVisor> shard = MakeShard(i);
       if (serving_active_.load(std::memory_order_acquire)) {
         AsVisor::ServingOptions slice;
         {

@@ -340,6 +340,10 @@ asbase::Status FatVolume::FreeChain(uint32_t first_cluster) {
     }
     const uint32_t next = FatEntry(cluster);
     AS_RETURN_IF_ERROR(SetFatEntry(cluster, 0));
+    // Reuse freed clusters first: a truncate-and-rewrite then lands on the
+    // blocks it just released instead of touching (and making resident)
+    // fresh ones until the allocator wraps.
+    next_free_hint_ = std::min(next_free_hint_, cluster);
     cluster = next;
   }
   return asbase::OkStatus();

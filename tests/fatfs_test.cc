@@ -379,6 +379,21 @@ TEST(FatVolumeTest, StaleDataDoesNotLeakThroughRecycledClusters) {
   }
 }
 
+TEST(FatVolumeTest, RewriteReusesFreedClusters) {
+  MemDisk disk(128 * 1024);  // 64 MiB, the default WFD disk
+  ASSERT_TRUE(FatVolume::Format(&disk).ok());
+  auto volume = FatVolume::Mount(&disk);
+  ASSERT_TRUE(volume.ok());
+  const std::string body(4096, 'r');
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE((*volume)->WriteFile("/out", body).ok()) << "rewrite " << i;
+  }
+  // Truncate-and-rewrite must land on the clusters it just freed; walking
+  // onto fresh ones would materialize a new disk chunk every 16 rewrites.
+  EXPECT_LE(disk.ResidentBytes(), 256u << 10);
+  EXPECT_EQ(AsString(*(*volume)->ReadFile("/out")), body);
+}
+
 // ------------------------------------------------------------ property test
 
 class FatPropertyTest : public ::testing::TestWithParam<uint64_t> {};
