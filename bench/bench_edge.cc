@@ -7,7 +7,8 @@
 //      thread-per-connection server would need 10k resident threads here;
 //      the reactor holds them on one epoll set.
 //   2. keep-alive /invoke RPS — a warm workflow driven closed-loop over one
-//      keep-alive watchdog connection vs direct AsVisor::Invoke dispatch.
+//      keep-alive connection to a 1-shard AsVisorRouter's watchdog vs
+//      direct Invoke dispatch.
 //      The acceptance bar is HTTP within 5% of direct dispatch.
 //   3. pipelining          — one connection, bursts of pipelined requests
 //      vs the same count of sequential round trips.
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/visor/visor_router.h"
 
 namespace asbench {
 namespace {
@@ -404,16 +406,18 @@ int Main(int argc, char** argv) {
   // ------------------------------ 2. warm /invoke: keep-alive HTTP vs direct
   {
     RegisterEdgeFunction();
-    AsVisor visor;
+    alloy::RouterOptions one_shard;
+    one_shard.shards = 1;
+    alloy::AsVisorRouter router(one_shard);
     AsVisor::WorkflowOptions options;
     options.wfd = BenchWfd();
     options.pool_size = 2;
     options.max_concurrency = 2;
-    visor.RegisterWorkflow(OneStage("edge-cpu", "bench.edge-cpu"), options);
+    router.RegisterWorkflow(OneStage("edge-cpu", "bench.edge-cpu"), options);
 
     // Warm the pool outside the measured window.
     for (int i = 0; i < 4; ++i) {
-      (void)visor.Invoke("edge-cpu", asbase::Json());
+      (void)router.Invoke("edge-cpu", asbase::Json());
     }
 
     // Direct dispatch: the in-process ceiling — no sockets, no HTTP.
@@ -421,7 +425,7 @@ int Main(int argc, char** argv) {
     const int64_t direct_start = asbase::MonoNanos();
     for (int i = 0; i < rps_seconds_worth; ++i) {
       const int64_t t0 = asbase::MonoNanos();
-      auto result = visor.Invoke("edge-cpu", asbase::Json());
+      auto result = router.Invoke("edge-cpu", asbase::Json());
       if (result.ok()) {
         direct_hist.Record(asbase::MonoNanos() - t0);
       }
@@ -434,8 +438,8 @@ int Main(int argc, char** argv) {
     // The same closed loop over one keep-alive watchdog connection.
     asbase::Histogram http_hist;
     double http_rps = 0.0;
-    if (visor.StartWatchdog(0).ok()) {
-      EdgeClient client(visor.watchdog_port());
+    if (router.StartWatchdog(0).ok()) {
+      EdgeClient client(router.watchdog_port());
       const std::string wire =
           "POST /invoke/edge-cpu HTTP/1.1\r\nhost: bench\r\n\r\n";
       // Unmeasured warmup: the first round trips pay the watchdog's own
@@ -455,7 +459,7 @@ int Main(int argc, char** argv) {
       const double http_seconds =
           static_cast<double>(asbase::MonoNanos() - http_start) / 1e9;
       http_rps = static_cast<double>(http_hist.count()) / http_seconds;
-      visor.StopWatchdog();
+      router.StopWatchdog();
     } else {
       std::fprintf(stderr, "watchdog start failed\n");
     }

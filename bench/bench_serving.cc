@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/core/visor/visor_router.h"
 
 namespace asbench {
 namespace {
@@ -43,6 +44,13 @@ using alloy::WorkflowSpec;
 
 std::span<const uint8_t> Bytes(const std::string& s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+// The watchdog: a 1-shard router.
+alloy::RouterOptions OneShard() {
+  alloy::RouterOptions options;
+  options.shards = 1;
+  return options;
 }
 
 alloy::WfdOptions BenchWfd() {
@@ -355,17 +363,16 @@ int Main(int argc, char** argv) {
     std::printf("  %-16s %10s %10s\n", "max_concurrency", "RPS", "p99");
     asbase::Json rps_json{asbase::JsonObject{}};
     for (int concurrency : {1, 2, 4, 8}) {
-      AsVisor visor;
+      alloy::AsVisorRouter router(OneShard());
       AsVisor::WorkflowOptions options;
       options.wfd = BenchWfd();
       options.pool_size = static_cast<size_t>(concurrency);
       options.max_concurrency = concurrency;
-      visor.RegisterWorkflow(OneStage("serve-cpu", "bench.serve-cpu"),
+      router.RegisterWorkflow(OneStage("serve-cpu", "bench.serve-cpu"),
                              options);
       AsVisor::ServingOptions serving;
-      serving.worker_threads = 16;
       serving.max_inflight = 64;
-      if (!visor.StartWatchdog(0, serving).ok()) {
+      if (!router.StartWatchdog(0, serving).ok()) {
         std::fprintf(stderr, "watchdog start failed\n");
         continue;
       }
@@ -380,7 +387,7 @@ int Main(int argc, char** argv) {
           for (int i = 0; i < rps_requests_per_client; ++i) {
             const int64_t t0 = asbase::MonoNanos();
             auto response = ashttp::HttpCall("127.0.0.1",
-                                             visor.watchdog_port(),
+                                             router.watchdog_port(),
                                              InvokeRequest("serve-cpu"));
             if (response.ok() && response->status == 200) {
               std::lock_guard<std::mutex> lock(latency_mutex);
@@ -399,30 +406,29 @@ int Main(int argc, char** argv) {
                   Ms(latency.Percentile(0.99)).c_str());
       rps_json.Set(std::to_string(concurrency), rps);
       series.Set("http_c" + std::to_string(concurrency), latency.ToJson());
-      visor.StopWatchdog();
+      router.StopWatchdog();
     }
     doc.Set("rps_by_concurrency", std::move(rps_json));
   }
 
   // --------------------------------------------------------- 3. saturation
   {
-    AsVisor visor;
+    alloy::AsVisorRouter router(OneShard());
     AsVisor::WorkflowOptions options;
     options.wfd = BenchWfd();
     options.pool_size = 2;
     options.max_concurrency = 2;
-    visor.RegisterWorkflow(OneStage("serve-sat", "bench.serve-cpu"), options);
+    router.RegisterWorkflow(OneStage("serve-sat", "bench.serve-cpu"), options);
     AsVisor::ServingOptions serving;
-    serving.worker_threads = 16;
     serving.max_inflight = 64;
-    if (visor.StartWatchdog(0, serving).ok()) {
+    if (router.StartWatchdog(0, serving).ok()) {
       const int burst = quick ? 8 : 16;
       std::atomic<int> completed{0};
       std::atomic<int> rejected{0};
       std::vector<std::thread> clients;
       for (int i = 0; i < burst; ++i) {
         clients.emplace_back([&] {
-          auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+          auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                            InvokeRequest("serve-sat"));
           if (!response.ok()) {
             return;
@@ -443,22 +449,21 @@ int Main(int argc, char** argv) {
       doc.Set("saturation_burst", static_cast<int64_t>(burst));
       doc.Set("saturation_completed", static_cast<int64_t>(completed.load()));
       doc.Set("saturation_rejected", static_cast<int64_t>(rejected.load()));
-      visor.StopWatchdog();
+      router.StopWatchdog();
     }
   }
 
   // ----------------------------------------------------------- 4. open loop
   {
-    AsVisor visor;
+    alloy::AsVisorRouter router(OneShard());
     AsVisor::WorkflowOptions options;
     options.wfd = BenchWfd();
     options.pool_size = 4;
     options.max_concurrency = 8;
-    visor.RegisterWorkflow(OneStage("serve-open", "bench.serve-cpu"), options);
+    router.RegisterWorkflow(OneStage("serve-open", "bench.serve-cpu"), options);
     AsVisor::ServingOptions serving;
-    serving.worker_threads = 16;
     serving.max_inflight = 64;
-    if (visor.StartWatchdog(0, serving).ok()) {
+    if (router.StartWatchdog(0, serving).ok()) {
       // Fixed-rate arrivals at 200 req/s (5ms spacing), each request on its
       // own thread so a slow response never delays the next arrival.
       asbase::Histogram open_latency;
@@ -474,7 +479,7 @@ int Main(int argc, char** argv) {
         }
         arrivals.emplace_back([&] {
           const int64_t sent = asbase::MonoNanos();
-          auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+          auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                            InvokeRequest("serve-open"));
           if (response.ok() && response->status == 200) {
             std::lock_guard<std::mutex> lock(open_mutex);
@@ -492,7 +497,7 @@ int Main(int argc, char** argv) {
                   open_rejected.load());
       series.Set("open_loop", open_latency.ToJson());
       doc.Set("open_loop_rejected", static_cast<int64_t>(open_rejected.load()));
-      visor.StopWatchdog();
+      router.StopWatchdog();
     }
   }
 
@@ -512,7 +517,7 @@ int Main(int argc, char** argv) {
     auto run_spike = [&](const std::string& name, size_t queue_capacity,
                          size_t min_warm, bool retry_on_429) {
       SpikeResult result;
-      AsVisor visor;
+      alloy::AsVisorRouter router(OneShard());
       AsVisor::WorkflowOptions options;
       options.wfd = BenchWfd();
       options.pool_size = 4;
@@ -520,12 +525,12 @@ int Main(int argc, char** argv) {
       options.min_warm = min_warm;
       options.queue_capacity = queue_capacity;
       options.queueing_budget_ms = 10'000;
-      visor.RegisterWorkflow(OneStage(name, "bench.serve-io"), options);
+      router.RegisterWorkflow(OneStage(name, "bench.serve-io"), options);
       if (min_warm > 0) {
         // Let the warmer reach the floor so the spike lands on a warm pool.
         const int64_t give_up = asbase::MonoNanos() + 10'000'000'000;
         while (asbase::MonoNanos() < give_up) {
-          auto warm = visor.WarmWfdCount(name);
+          auto warm = router.WarmWfdCount(name);
           if (warm.ok() && *warm >= min_warm) {
             break;
           }
@@ -533,9 +538,8 @@ int Main(int argc, char** argv) {
         }
       }
       AsVisor::ServingOptions serving;
-      serving.worker_threads = 16;
       serving.max_inflight = 64;
-      if (!visor.StartWatchdog(0, serving).ok()) {
+      if (!router.StartWatchdog(0, serving).ok()) {
         std::fprintf(stderr, "watchdog start failed\n");
         return result;
       }
@@ -546,7 +550,7 @@ int Main(int argc, char** argv) {
           const int64_t sent = asbase::MonoNanos();
           for (int attempt = 0; attempt < 200; ++attempt) {
             auto response = ashttp::HttpCall(
-                "127.0.0.1", visor.watchdog_port(), InvokeRequest(name));
+                "127.0.0.1", router.watchdog_port(), InvokeRequest(name));
             if (response.ok() && response->status == 200) {
               bool cold = false;
               if (auto body = asbase::Json::Parse(response->body); body.ok()) {
@@ -576,7 +580,7 @@ int Main(int argc, char** argv) {
       for (auto& client : clients) {
         client.join();
       }
-      visor.StopWatchdog();
+      router.StopWatchdog();
       return result;
     };
 

@@ -4,9 +4,10 @@
 //      load against AsVisorRouter at 1/2/4/8 shards. Clients call
 //      router.Dispatch() directly (no HTTP socket), so the measured path is
 //      exactly what sharding changes: the admission herd (one cv per shard
-//      vs one global cv) plus the per-shard serving pool. The workload is
-//      sleep-bound (~2ms) so admission-path CPU, not the work itself, is
-//      the bottleneck — the regime the paper's multi-tenant visor lives in.
+//      vs one global cv); an admitted request runs on its client's thread.
+//      The workload is sleep-bound (~2ms) so admission-path CPU, not the
+//      work itself, is the bottleneck — the regime the paper's multi-tenant
+//      visor lives in.
 //   2. warm p50 parity — one shard must behave like the pre-sharding
 //      AsVisor: the bench_serving §1 warm config (pool_size=2, IO workflow)
 //      re-run through a 1-shard router, p50 emitted for comparison against
@@ -132,7 +133,6 @@ ShardRun RunMixedLoad(size_t shards, int clients, int requests_per_client) {
         OneStage("mix-" + std::to_string(i), "bench.shard-sleep"), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 64;  // divided across shards by the router
   serving.max_inflight = 32;
   if (!router.StartWatchdog(0, serving).ok()) {
     std::fprintf(stderr, "watchdog start failed at %zu shards\n", shards);
@@ -234,7 +234,6 @@ ShardRun RunSkewedLoad(bool zipf, bool rebalance_on, int clients,
         OneStage("skew-" + std::to_string(i), "bench.skew-sleep"), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 64;
   serving.max_inflight = 32;
   if (!router.StartWatchdog(0, serving).ok()) {
     std::fprintf(stderr, "watchdog start failed for skew run\n");

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "src/common/histogram.h"
-#include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/workloads/alloystack_env.h"
 #include "src/workloads/generic_apps.h"
 #include "src/workloads/inputs.h"
@@ -63,8 +63,11 @@ int main() {
   options.Set("heap_mb", 64);
   config.Set("options", options);
 
-  alloy::AsVisor visor;
-  auto registered = visor.RegisterWorkflowFromJson(config);
+  // The watchdog is a 1-shard router: one HTTP front over one visor.
+  alloy::RouterOptions router_options;
+  router_options.shards = 1;
+  alloy::AsVisorRouter router(router_options);
+  auto registered = router.RegisterWorkflowFromJson(config);
   if (!registered.ok()) {
     std::fprintf(stderr, "register failed: %s\n",
                  registered.ToString().c_str());
@@ -72,11 +75,11 @@ int main() {
   }
 
   // Start the watchdog and invoke over HTTP, gateway-style.
-  if (!visor.StartWatchdog(0).ok()) {
+  if (!router.StartWatchdog(0).ok()) {
     std::fprintf(stderr, "watchdog failed to start\n");
     return 1;
   }
-  std::printf("watchdog listening on 127.0.0.1:%u\n", visor.watchdog_port());
+  std::printf("watchdog listening on 127.0.0.1:%u\n", router.watchdog_port());
 
   for (size_t corpus_bytes : {256u << 10, 1u << 20}) {
     ashttp::HttpRequest request;
@@ -88,7 +91,7 @@ int main() {
     request.body = params.Dump();
 
     auto response =
-        ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+        ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
     if (!response.ok() || response->status != 200) {
       std::fprintf(stderr, "invoke failed\n");
       return 1;
@@ -109,11 +112,11 @@ int main() {
     }
   }
 
-  auto histogram = visor.LatencyHistogram("wordcount");
+  auto histogram = router.LatencyHistogram("wordcount");
   if (histogram.ok()) {
     std::printf("latency over %zu invocations: %s\n", histogram->count(),
                 histogram->Summary().c_str());
   }
-  visor.StopWatchdog();
+  router.StopWatchdog();
   return 0;
 }

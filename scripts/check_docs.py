@@ -8,6 +8,10 @@
 2. Metrics drift: every `alloy_*` family declared in src/obs/metrics.cc
    must be documented in docs/metrics.md, and vice versa (label names the
    doc mentions are exempt).
+3. Env-knob drift: every `ALLOY_*` environment variable the code reads (a
+   "ALLOY_..." string literal under src/, passed to getenv or to an env
+   helper) must have a row in docs/operations.md, and every row there must
+   name a variable the code reads.
 
 Exits non-zero with one line per problem.
 """
@@ -79,8 +83,33 @@ def check_metrics_drift() -> list:
     return problems
 
 
+def check_env_knob_drift() -> list:
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.suffix in (".cc", ".h"):
+            read.update(re.findall(r'"(ALLOY_[A-Z0-9_]+)"', path.read_text()))
+    rows = set(
+        re.findall(
+            r"^\|\s*`(ALLOY_[A-Z0-9_]+)`",
+            (ROOT / "docs/operations.md").read_text(),
+            re.MULTILINE,
+        )
+    )
+    problems = []
+    for knob in sorted(read - rows):
+        problems.append(
+            f"docs/operations.md: {knob} read under src/ but has no row"
+        )
+    for knob in sorted(rows - read):
+        problems.append(
+            f"docs/operations.md: {knob} has a row but nothing under src/ "
+            "reads it"
+        )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics_drift()
+    problems = check_links() + check_metrics_drift() + check_env_knob_drift()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

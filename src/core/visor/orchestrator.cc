@@ -1,7 +1,6 @@
 #include "src/core/visor/orchestrator.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -179,15 +178,12 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
   // to the workflow's max fan-out. On a fresh WFD this spawns the workers
   // (counted in alloy_orch_thread_spawns_total); on a reused WFD the pool is
   // already up and a whole invocation runs with zero thread spawns.
-  asbase::ThreadPool* pool = nullptr;
-  if (!options.spawn_per_stage) {
-    const size_t fanout = std::max<size_t>(MaxStageFanout(workflow), 1);
-    const size_t spawned = wfd_->EnsureStageWorkers(fanout);
-    if (spawned > 0) {
-      Metrics().thread_spawns.Add(spawned);
-    }
-    pool = wfd_->stage_workers();
+  const size_t fanout = std::max<size_t>(MaxStageFanout(workflow), 1);
+  const size_t spawned = wfd_->EnsureStageWorkers(fanout);
+  if (spawned > 0) {
+    Metrics().thread_spawns.Add(spawned);
   }
+  asbase::ThreadPool* pool = wfd_->stage_workers();
 
   for (size_t stage_index = 0; stage_index < workflow.stages.size();
        ++stage_index) {
@@ -212,7 +208,6 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
       size_t retries = 0;
     };
     std::vector<std::unique_ptr<InstanceRun>> runs;
-    std::vector<std::thread> threads;
 
     for (const FunctionSpec& fn_spec : stage.functions) {
       AS_ASSIGN_OR_RETURN(UserFunction fn,
@@ -279,23 +274,13 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
           run_ptr->finished_at = asbase::MonoNanos();
           wfd_->mpk().WritePkru(0);  // leave the thread fully open again
         };
-        if (pool != nullptr) {
-          pool->Submit(std::move(body));
-        } else {
-          Metrics().thread_spawns.Add(1);
-          threads.emplace_back(std::move(body));
-        }
+        pool->Submit(std::move(body));
       }
     }
 
     // Stage barrier: the pool runs only this stage's tasks (one run per WFD
     // at a time), so Drain() is the fan-in wait.
-    if (pool != nullptr) {
-      pool->Drain();
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
+    pool->Drain();
     const int64_t barrier_at = asbase::MonoNanos();
     stats.stage_nanos.push_back(barrier_at - stage_start);
 

@@ -148,10 +148,6 @@ class Orchestrator {
     // preempted mid-flight (functions share the WFD address space — killing
     // a thread would poison the whole domain).
     int64_t deadline_nanos = 0;
-    // Spawn a fresh std::thread per stage instance instead of dispatching
-    // onto the WFD's worker pool — the pre-worker-pool behavior, kept for
-    // the dataplane bench's spawn-vs-dispatch comparison.
-    bool spawn_per_stage = false;
   };
 
   // Largest number of instances any single stage runs concurrently — the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -54,29 +53,6 @@ int64_t BurnMilli(double burn) {
       std::min(burn, 1e12) * 1000.0));
 }
 
-// Query-string value for `key` in an HTTP target ("/trace?workflow=x").
-std::string QueryParam(const std::string& target, const std::string& key) {
-  const size_t question = target.find('?');
-  if (question == std::string::npos) {
-    return "";
-  }
-  std::string query = target.substr(question + 1);
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t amp = query.find('&', pos);
-    if (amp == std::string::npos) {
-      amp = query.size();
-    }
-    const std::string pair = query.substr(pos, amp - pos);
-    const size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-    pos = amp + 1;
-  }
-  return "";
-}
-
 asbase::Json SummarizeTrace(const asobs::Trace& trace) {
   asbase::Json summary;
   summary.Set("workflow", trace.workflow());
@@ -121,7 +97,7 @@ AsVisor::AsVisor(ShardIdentity shard)
 }
 
 AsVisor::~AsVisor() {
-  StopWatchdog();
+  StopServing();
   ShutdownPools();
 }
 
@@ -1087,6 +1063,9 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
       }
       return asbase::NotFound("no workflow named '" + workflow_name + "'");
     }
+    if (draining_) {
+      return asbase::Unavailable("watchdog draining");
+    }
     Entry& entry = it->second;
     // Same registry series even if the entry is replaced while we wait (the
     // registry dedupes by name+labels), so the gauge pointer stays valid.
@@ -1119,9 +1098,10 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
           "workflow '" + workflow_name + "' admission queue full (" +
           std::to_string(entry.options.queue_capacity) + ")");
     }
-    const int64_t budget_ms = budget_ms_override >= 0
-                                  ? budget_ms_override
-                                  : entry.options.queueing_budget_ms;
+    const int64_t budget_ms = std::min(budget_ms_override >= 0
+                                           ? budget_ms_override
+                                           : entry.options.queueing_budget_ms,
+                                       kMaxQueueBudgetMs);
     if (*predicted_wait_nanos > budget_ms * 1'000'000) {
       return asbase::ResourceExhausted(
           "predicted queue wait " +
@@ -1208,30 +1188,26 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
   return asbase::OkStatus();
 }
 
-// --------------------------------------------------------------- watchdog
+// ---------------------------------------------------------------- serving
 
 asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
-  if (serving.worker_threads == 0 || serving.max_inflight == 0) {
-    return asbase::InvalidArgument(
-        "worker_threads and max_inflight must be >= 1");
+  if (serving.max_inflight == 0) {
+    return asbase::InvalidArgument("max_inflight must be >= 1");
   }
-  if (serving_pool_ != nullptr) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!draining_) {
     return asbase::FailedPrecondition("serving already started");
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    serving_ = serving;
-    draining_ = false;
-    // Tail-retention knobs: 0 / -1 mean "keep the current setting" (env
-    // override or the construction default).
-    if (serving.trace_ring > 0) {
-      trace_ring_ = serving.trace_ring;
-    }
-    if (serving.trace_threshold_ms >= 0) {
-      trace_threshold_ms_ = serving.trace_threshold_ms;
-    }
+  serving_ = serving;
+  draining_ = false;
+  // Tail-retention knobs: 0 / -1 mean "keep the current setting" (env
+  // override or the construction default).
+  if (serving.trace_ring > 0) {
+    trace_ring_ = serving.trace_ring;
   }
-  serving_pool_ = std::make_unique<asbase::ThreadPool>(serving.worker_threads);
+  if (serving.trace_threshold_ms >= 0) {
+    trace_threshold_ms_ = serving.trace_threshold_ms;
+  }
   return asbase::OkStatus();
 }
 
@@ -1245,10 +1221,8 @@ void AsVisor::BeginDrain() {
 
 void AsVisor::StopServing() {
   BeginDrain();
-  if (serving_pool_ != nullptr) {
-    serving_pool_->Drain();
-    serving_pool_.reset();
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  admission_cv_.wait(lock, [&] { return inflight_global_ == 0; });
 }
 
 void AsVisor::ShutdownPools() {
@@ -1307,139 +1281,44 @@ std::vector<std::string> AsVisor::WorkflowNames() const {
   return names;
 }
 
-asbase::Status AsVisor::StartWatchdog(uint16_t port) {
-  return StartWatchdog(port, ServingOptions{});
-}
-
-asbase::Status AsVisor::StartWatchdog(uint16_t port, ServingOptions serving) {
-  if (watchdog_ != nullptr) {
-    return asbase::FailedPrecondition("watchdog already running");
-  }
-  AS_RETURN_IF_ERROR(StartServing(serving));
-  watchdog_ = std::make_unique<ashttp::HttpServer>(
-      [this](const ashttp::HttpRequest& request) {
-        ashttp::HttpResponse response;
-        if (request.method == "GET" && request.target == "/health") {
-          response.body = "ok";
-          return response;
-        }
-        if (request.method == "GET" && request.target == "/healthz") {
-          return ServeHealthz();
-        }
-        if (request.method == "GET" && request.target == "/readyz") {
-          return ServeReadyz();
-        }
-        if (request.method == "GET" && request.target == "/metrics") {
-          return ServeMetrics();
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/trace", 0) == 0) {
-          return ServeTrace(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/flight", 0) == 0) {
-          return ServeFlight(request.target);
-        }
-        if (request.method == "GET" &&
-            request.target.rfind("/debug/latency", 0) == 0) {
-          return ServeLatency(request.target);
-        }
-        if (request.method == "POST" &&
-            request.target.rfind("/invoke/", 0) == 0) {
-          return HandleInvoke(request);
-        }
-        response.status = 404;
-        response.reason = "Not Found";
-        response.body = "unknown endpoint";
-        return response;
-      });
-  asbase::Status started = watchdog_->Start(port);
-  if (!started.ok()) {
-    watchdog_.reset();
-    StopServing();
-  }
-  return started;
-}
-
-ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
-                                           int64_t carried_queue_wait_nanos) {
-  ashttp::HttpResponse response;
-  if (serving_pool_ == nullptr) {
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.body = "serving not started";
-    return response;
-  }
-  const std::string name = request.target.substr(std::string("/invoke/").size());
-  // Admission decisions (429 lines, drain warnings) carry the shard +
-  // workflow; the invocation itself re-establishes the context on its
-  // serving-pool worker thread.
-  asbase::ScopedLogContext log_context(shard_.index, name);
-  asbase::Json params;
-  if (!request.body.empty()) {
-    auto parsed = asbase::Json::Parse(request.body);
-    if (!parsed.ok()) {
-      response.status = 400;
-      response.reason = "Bad Request";
-      response.body = parsed.status().ToString();
-      return response;
-    }
-    params = *parsed;
-  }
+AsVisor::ServeResult AsVisor::Serve(const std::string& workflow_name,
+                                    const asbase::Json& params,
+                                    int64_t budget_ms,
+                                    int64_t carried_queue_wait_nanos) {
+  // Admission decisions (rejections, drain warnings) carry the shard +
+  // workflow; Invoke re-establishes the same context for the run.
+  asbase::ScopedLogContext log_context(shard_.index, workflow_name);
 
   // Admission control: admit, queue (when the workflow allows it and the
   // predicted wait fits this request's budget), or reject with a
   // Retry-After computed from that prediction.
-  int64_t budget_ms_override = -1;
-  auto budget_header = request.headers.find("x-queue-budget-ms");
-  if (budget_header != request.headers.end()) {
-    budget_ms_override = std::atoll(budget_header->second.c_str());
-    if (budget_ms_override < 0) {
-      budget_ms_override = -1;
-    }
-  }
   int64_t queue_wait_nanos = 0;
   int64_t predicted_wait_nanos = 0;
   bool migrated = false;
-  asbase::Status admitted = AdmitBlocking(name, budget_ms_override,
+  asbase::Status admitted = AdmitBlocking(workflow_name, budget_ms,
                                           &queue_wait_nanos,
                                           &predicted_wait_nanos, &migrated);
+  queue_wait_nanos += carried_queue_wait_nanos;
   if (!admitted.ok()) {
     if (migrated) {
       // The workflow moved shards (possibly while this request sat in the
-      // admission queue). 307 + marker headers: the router re-dispatches to
-      // the new owner, carrying the wait already paid; a direct client
-      // retries the same URL and the route lands it correctly.
-      response.status = 307;
-      response.reason = "Temporary Redirect";
-      response.headers["location"] = request.target;
-      response.headers["x-alloy-migrated"] = "1";
-      response.headers["x-alloy-queue-wait-ns"] =
-          std::to_string(carried_queue_wait_nanos + queue_wait_nanos);
-      response.body = admitted.ToString();
-      return response;
+      // admission queue): the caller re-serves on the new owner, handing
+      // it the wait already paid.
+      return {Admission::kMigrated, admitted, 0, queue_wait_nanos};
     }
     if (admitted.code() == asbase::ErrorCode::kNotFound) {
-      response.status = 404;
-      response.reason = "Not Found";
-      response.body = admitted.ToString();
-      return response;
+      return {Admission::kNotFound, admitted, 0, queue_wait_nanos};
     }
     if (admitted.code() == asbase::ErrorCode::kUnavailable) {
-      response.status = 503;
-      response.reason = "Service Unavailable";
-      response.body = admitted.ToString();
-      return response;
+      return {Admission::kDraining, admitted, 0, queue_wait_nanos};
     }
-    response.status = 429;
-    response.reason = "Too Many Requests";
     int retry_after_fallback = 1;
     uint32_t flight_id = 0;
     asobs::Counter* rejections = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       retry_after_fallback = serving_.retry_after_seconds;
-      auto it = workflows_.find(name);
+      auto it = workflows_.find(workflow_name);
       if (it != workflows_.end()) {
         flight_id = it->second.flight_id;
         rejections = it->second.rejections;
@@ -1449,7 +1328,8 @@ ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
       rejections->Add(1);
     } else {
       asobs::Registry::Global()
-          .GetCounter("alloy_visor_rejections_total", WorkflowLabels(name))
+          .GetCounter("alloy_visor_rejections_total",
+                      WorkflowLabels(workflow_name))
           .Add(1);
     }
     // Rejections leave a flight record too — a 429 storm is exactly the
@@ -1462,7 +1342,7 @@ ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
     rejected.end_nanos = rejected.start_nanos;
     rejected.queue_wait_nanos = predicted_wait_nanos;
     EmitFlight(flight_id, rejected);
-    AccountOutcome(name, nullptr, asobs::FlightOutcome::kRejected, 0);
+    AccountOutcome(workflow_name, nullptr, asobs::FlightOutcome::kRejected, 0);
     // Tell the client when a retry is predicted to succeed; fall back to
     // the static knob before any service-time sample exists.
     const int retry_after =
@@ -1472,97 +1352,28 @@ ashttp::HttpResponse AsVisor::HandleInvoke(const ashttp::HttpRequest& request,
                          std::ceil(static_cast<double>(predicted_wait_nanos) /
                                    1e9)))
             : retry_after_fallback;
-    response.headers["retry-after"] = std::to_string(retry_after);
-    response.body = admitted.ToString();
-    return response;
+    return {Admission::kRejected, admitted, retry_after, queue_wait_nanos};
   }
 
-  // Dispatch onto the serving pool; the connection thread blocks until the
-  // invocation completes (the admission caps bound how much work can be
-  // queued behind the workers).
-  struct Pending {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::optional<asbase::Result<InvokeResult>> result;
-  };
-  auto pending = std::make_shared<Pending>();
-  const int64_t total_queue_wait_nanos =
-      carried_queue_wait_nanos + queue_wait_nanos;
-  serving_pool_->Submit([this, name, params, pending, total_queue_wait_nanos] {
-    InvokeOptions invoke_options;
-    invoke_options.queue_wait_nanos = total_queue_wait_nanos;
-    auto invoked = Invoke(name, params, invoke_options);
-    {
-      std::lock_guard<std::mutex> lock(pending->mutex);
-      pending->result.emplace(std::move(invoked));
-    }
-    pending->cv.notify_one();
-  });
-  {
-    std::unique_lock<std::mutex> lock(pending->mutex);
-    pending->cv.wait(lock, [&] { return pending->result.has_value(); });
-  }
-  ReleaseAdmission(name);
-
-  const asbase::Result<InvokeResult>& invoked = *pending->result;
-  if (!invoked.ok()) {
-    switch (invoked.status().code()) {
-      case asbase::ErrorCode::kNotFound:
-        response.status = 404;
-        response.reason = "Not Found";
-        break;
-      case asbase::ErrorCode::kDeadlineExceeded:
-        response.status = 504;
-        response.reason = "Gateway Timeout";
-        break;
-      default:
-        response.status = 500;
-        response.reason = "Error";
-    }
-    response.body = invoked.status().ToString();
-    return response;
-  }
-  asbase::Json body;
-  body.Set("workflow", name);
-  body.Set("cold_start_nanos", invoked->cold_start_nanos);
-  body.Set("end_to_end_nanos", invoked->end_to_end_nanos);
-  body.Set("warm_start", invoked->warm_start);
-  body.Set("instances", static_cast<int64_t>(invoked->run.instances_run));
-  body.Set("result", invoked->run.result);
-  response.headers["content-type"] = "application/json";
-  response.body = body.Dump();
-  return response;
+  // Admitted: run here, on the admitting thread, so the admission slot is
+  // the only execution bound and no hand-off wait goes unrecorded.
+  InvokeOptions invoke_options;
+  invoke_options.queue_wait_nanos = queue_wait_nanos;
+  ServeResult served{Admission::kAdmitted,
+                     Invoke(workflow_name, params, invoke_options), 0,
+                     queue_wait_nanos};
+  ReleaseAdmission(workflow_name);
+  return served;
 }
 
-ashttp::HttpResponse AsVisor::ServeMetrics() const {
-  ashttp::HttpResponse response;
-  response.headers["content-type"] = "text/plain; version=0.0.4";
-  response.body = asobs::Registry::Global().RenderPrometheus();
-  return response;
-}
-
-ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
-  ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
+asbase::Result<asbase::Json> AsVisor::ServeTrace(
+    const std::string& workflow) const {
   std::deque<std::shared_ptr<const asobs::Trace>> traces;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (workflow.empty()) {
-      response.status = 400;
-      response.reason = "Bad Request";
-      std::string names;
-      for (const auto& [name, entry] : workflows_) {
-        names += names.empty() ? name : ", " + name;
-      }
-      response.body = "usage: /trace?workflow=<name>; registered: " + names;
-      return response;
-    }
     auto it = workflows_.find(workflow);
     if (it == workflows_.end()) {
-      response.status = 404;
-      response.reason = "Not Found";
-      response.body = "no workflow named '" + workflow + "'";
-      return response;
+      return asbase::NotFound("no workflow named '" + workflow + "'");
     }
     traces = it->second.traces;
   }
@@ -1575,16 +1386,11 @@ ashttp::HttpResponse AsVisor::ServeTrace(const std::string& target) const {
   asbase::Json doc;
   doc.Set("displayTimeUnit", "ms");
   doc.Set("traceEvents", std::move(events));
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
-  return response;
+  return doc;
 }
 
-ashttp::HttpResponse AsVisor::ServeFlight(const std::string& target) const {
-  ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
-  const std::string since = QueryParam(target, "since");
-  const int64_t since_nanos = since.empty() ? 0 : std::atoll(since.c_str());
+asbase::Json AsVisor::ServeFlight(const std::string& workflow,
+                                  int64_t since_nanos) const {
   asbase::Json doc =
       asobs::FlightReportJson(flight_->Snapshot(workflow, since_nanos));
   if (!workflow.empty()) {
@@ -1593,57 +1399,16 @@ ashttp::HttpResponse AsVisor::ServeFlight(const std::string& target) const {
   doc.Set("recorded", static_cast<int64_t>(flight_->recorded()));
   doc.Set("dropped", static_cast<int64_t>(flight_->dropped()));
   doc.Set("capacity", static_cast<int64_t>(flight_->capacity()));
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
-  return response;
+  return doc;
 }
 
-ashttp::HttpResponse AsVisor::ServeLatency(const std::string& target) const {
-  ashttp::HttpResponse response;
-  const std::string workflow = QueryParam(target, "workflow");
+asbase::Json AsVisor::ServeLatency(const std::string& workflow) const {
   asbase::Json doc =
       asobs::LatencyAttributionJson(flight_->Snapshot(workflow));
   if (!workflow.empty()) {
     doc.Set("workflow", workflow);
   }
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
-  return response;
-}
-
-ashttp::HttpResponse AsVisor::ServeHealthz() const {
-  ashttp::HttpResponse response;
-  response.body = "ok";
-  return response;
-}
-
-ashttp::HttpResponse AsVisor::ServeReadyz() const {
-  ashttp::HttpResponse response;
-  if (draining()) {
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.body = "draining";
-    return response;
-  }
-  response.body = "ready";
-  return response;
-}
-
-uint16_t AsVisor::watchdog_port() const {
-  return watchdog_ == nullptr ? 0 : watchdog_->port();
-}
-
-void AsVisor::StopWatchdog() {
-  // Abort queued admissions first: their connection threads sit inside
-  // HandleInvoke and the server's Stop() joins them.
-  BeginDrain();
-  if (watchdog_ != nullptr) {
-    // Stop the server first: connection threads block on in-flight
-    // invocations, which need the serving pool alive to finish.
-    watchdog_->Stop();
-    watchdog_.reset();
-  }
-  StopServing();
+  return doc;
 }
 
 asbase::Result<asbase::Histogram> AsVisor::LatencyHistogram(

@@ -2,18 +2,18 @@
 //
 // Owns workflow definitions, instantiates (or leases from the warm pool) a
 // WFD per invocation, orchestrates the run, returns the WFD to the pool or
-// destroys it (§3.2), and exposes the watchdog — an HTTP endpoint (host
-// socket) through which external events trigger workflows. A CLI-style
-// entry (`InvokeFromConfig`) executes workflows straight from JSON
-// configurations (§7.1).
+// destroys it (§3.2). A CLI-style entry (`InvokeFromConfig`) executes
+// workflows straight from JSON configurations (§7.1). The watchdog — the
+// HTTP endpoint through which external events trigger workflows — is
+// AsVisorRouter's; an AsVisor is one HTTP-free shard behind it.
 //
-// Serving layer (DESIGN.md §8): invocations arriving through the watchdog
-// are dispatched onto a worker thread pool, gated by per-workflow
-// `max_concurrency` and a global in-flight cap. A saturated workflow may
-// absorb short bursts through a bounded FIFO admission queue: a request
-// queues only when its *predicted* wait (queue position × an EWMA of recent
-// service time / max_concurrency) fits its queueing budget; otherwise it is
-// rejected with HTTP 429 and a Retry-After computed from that prediction.
+// Serving layer (DESIGN.md §8): `Serve` admits an invocation and runs it on
+// the calling thread, gated by per-workflow `max_concurrency` and the
+// shard's in-flight cap. A saturated workflow may absorb short bursts
+// through a bounded FIFO admission queue: a request queues only when its
+// *predicted* wait (queue position × an EWMA of recent service time /
+// max_concurrency) fits its queueing budget; otherwise it is rejected, with
+// a Retry-After computed from that prediction.
 // Each invocation may carry a deadline (`timeout_ms`) enforced cooperatively
 // by the orchestrator; an expired run fails with kDeadlineExceeded (HTTP
 // 504). Registration also pre-warms the workflow's WFD pool (WfdPool
@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -33,11 +34,9 @@
 #include <vector>
 
 #include "src/common/histogram.h"
-#include "src/common/thread_pool.h"
 #include "src/core/visor/orchestrator.h"
 #include "src/core/visor/wfd_pool.h"
 #include "src/core/wfd_snapshot.h"
-#include "src/http/http.h"
 #include "src/obs/flight.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
@@ -113,14 +112,13 @@ class AsVisor {
     int64_t slo_latency_ms = 0;
   };
 
-  // Watchdog-wide serving knobs (admission control + dispatch).
+  // Watchdog-wide serving knobs (admission control).
   struct ServingOptions {
-    // Workers executing invocations; admitted requests queue FIFO when all
-    // workers are busy (the caps below bound that queue).
-    size_t worker_threads = 8;
-    // Global in-flight invocation cap across all workflows.
+    // Global in-flight invocation cap across all workflows — the one
+    // execution bound: every admitted invocation runs on the thread that
+    // admitted it.
     size_t max_inflight = 32;
-    // Retry-After fallback (seconds) on 429 responses when no service-time
+    // Retry-After fallback (seconds) on rejections when no service-time
     // EWMA exists yet; once it does, Retry-After is computed from the
     // predicted wait instead.
     int retry_after_seconds = 1;
@@ -229,57 +227,63 @@ class AsVisor {
   asbase::Result<InvokeResult> InvokeFromConfig(const std::string& config_json,
                                                 const asbase::Json& params);
 
-  // Watchdog: POST /invoke/<workflow> with a JSON params body; responds with
-  // the run result and latency (429 when saturated, 504 on deadline).
-  // GET /health answers "ok". GET /metrics serves the process-wide registry
-  // in Prometheus text format; GET /trace?workflow=<name> serves the last
-  // invocations' spans as Chrome trace JSON (open in about:tracing or
-  // ui.perfetto.dev).
-  asbase::Status StartWatchdog(uint16_t port = 0);
-  asbase::Status StartWatchdog(uint16_t port, ServingOptions serving);
-  uint16_t watchdog_port() const;
-  void StopWatchdog();
-
-  // ---- serving lifecycle pieces (used standalone by the router, which
-  // ---- owns the shared HTTP server itself) ----
-  // Brings up the admission state + worker pool without an HTTP server.
+  // ---- serving lifecycle (the router owns the HTTP server) ----
+  // Opens admission. Until the first call every Serve answers kDraining.
   asbase::Status StartServing(const ServingOptions& serving);
-  // Non-blocking: flips draining so every queued admission unwinds with
-  // kUnavailable (503). Safe to call on all shards before any join.
+  // Non-blocking: flips draining so every queued admission unwinds as
+  // kDraining and new arrivals are turned away. Safe to call on all shards
+  // before any join.
   void BeginDrain();
-  // BeginDrain + drain and destroy the worker pool. Callers must stop the
-  // HTTP server delivering requests first (its connection threads block on
-  // the pool's invocations).
+  // BeginDrain, then blocks until every admitted invocation has released
+  // its slot.
   void StopServing();
   // Shuts down every workflow's pool warmer and destroys parked WFDs, in
   // workflow-name order (deterministic thread joins on teardown).
   void ShutdownPools();
 
-  // Serving-path entry points, public so the router's shared server can
-  // dispatch to the owning shard without a cross-shard lock.
-  // `carried_queue_wait_nanos` is queue time already spent on a previous
-  // shard when a migration handed this request off mid-queue; it is added
-  // to this shard's own queue wait so the invocation's trace and flight
-  // record show the true total. A request whose workflow migrated away
-  // mid-queue returns 307 with `x-alloy-migrated: 1` and its accumulated
-  // wait in `x-alloy-queue-wait-ns`; the router re-dispatches, a direct
-  // client treats it like any redirect.
-  ashttp::HttpResponse HandleInvoke(const ashttp::HttpRequest& request,
-                                    int64_t carried_queue_wait_nanos = 0);
-  ashttp::HttpResponse ServeTrace(const std::string& target) const;
-  // GET /debug/flight?workflow=&since= — recent flight records (all
-  // workflows when the param is empty; since = MonoNanos cursor).
-  ashttp::HttpResponse ServeFlight(const std::string& target) const;
-  // GET /debug/latency?workflow= — p50/p95/p99 phase attribution over the
-  // flight ring: which phase owns the tail.
-  ashttp::HttpResponse ServeLatency(const std::string& target) const;
-  // GET /healthz — liveness: 200 as long as the process answers.
-  ashttp::HttpResponse ServeHealthz() const;
-  // GET /readyz — readiness: 503 while draining or not serving.
-  ashttp::HttpResponse ServeReadyz() const;
+  // The serving path: admit, Invoke on the calling thread, release.
+  enum class Admission {
+    kAdmitted,
+    kRejected,
+    kMigrated,
+    kNotFound,
+    kDraining,
+  };
+  struct ServeResult {
+    Admission admission;
+    // Invoke's result when admitted; otherwise the admission status.
+    asbase::Result<InvokeResult> invoked;
+    // kRejected: seconds until a retry is predicted to be admitted.
+    int retry_after_seconds = 0;
+    // Queue wait paid so far, the carried wait included. For kMigrated it
+    // is what the next shard must be handed.
+    int64_t queue_wait_nanos = 0;
+  };
+  // `budget_ms` is the request's queueing budget (< 0: the workflow's
+  // default). `carried_queue_wait_nanos` is queue time already spent on a
+  // shard the workflow migrated away from mid-queue; it is added to this
+  // shard's own wait so the trace and flight record show the true total.
+  ServeResult Serve(const std::string& workflow_name,
+                    const asbase::Json& params, int64_t budget_ms,
+                    int64_t carried_queue_wait_nanos);
 
-  // True from BeginDrain/StopServing until the next StartServing — the
-  // /readyz signal, also aggregated per shard by the router.
+  // Budgets past this many milliseconds are clamped (the admission check
+  // compares in nanoseconds).
+  static constexpr int64_t kMaxQueueBudgetMs = INT64_MAX / 1'000'000;
+
+  // Chrome trace JSON of the workflow's retained invocations (NotFound for
+  // an unknown workflow).
+  asbase::Result<asbase::Json> ServeTrace(const std::string& workflow) const;
+  // Flight records (every workflow when `workflow` is empty) that ended
+  // after `since_nanos` (a MonoNanos cursor).
+  asbase::Json ServeFlight(const std::string& workflow,
+                           int64_t since_nanos) const;
+  // p50/p95/p99 phase attribution over the flight ring: which phase owns
+  // the tail.
+  asbase::Json ServeLatency(const std::string& workflow) const;
+
+  // True until StartServing and from BeginDrain/StopServing until the next
+  // StartServing — the per-shard /readyz signal the router aggregates.
   bool draining() const;
 
   // This shard's flight recorder (the router aggregates across shards).
@@ -397,9 +401,9 @@ class AsVisor {
   // the prediction so the caller can compute Retry-After; on admission
   // *queue_wait_nanos is the time actually spent queued. When the workflow
   // migrated away (entry vanished with a live tombstone) the status is
-  // kUnavailable and *migrated is set — HandleInvoke answers with the
-  // redirect marker instead of a 503, and *queue_wait_nanos carries the
-  // wait already paid so the new shard can account it.
+  // kUnavailable and *migrated is set — Serve answers kMigrated instead of
+  // kDraining, and *queue_wait_nanos carries the wait already paid so the
+  // new shard can account it.
   asbase::Status AdmitBlocking(const std::string& workflow_name,
                                int64_t budget_ms_override,
                                int64_t* queue_wait_nanos,
@@ -428,8 +432,6 @@ class AsVisor {
   // {workflow=<name>} plus this shard's label (if sharded).
   asobs::Labels WorkflowLabels(const std::string& workflow_name) const;
   asobs::Labels ShardLabels() const;
-
-  ashttp::HttpResponse ServeMetrics() const;
 
   // Deposits one record into this shard's flight ring and keeps the
   // records/dropped counters in step.
@@ -464,9 +466,10 @@ class AsVisor {
 
   mutable std::mutex mutex_;
   // Wakes queued requests when a slot frees, a queue position advances, or
-  // the watchdog drains.
+  // the shard drains; StopServing waits on it for in-flight to reach 0.
   std::condition_variable admission_cv_;
-  bool draining_ = false;  // guarded by mutex_; set by BeginDrain
+  // Guarded by mutex_: true until StartServing and from BeginDrain on.
+  bool draining_ = true;
   std::map<std::string, Entry> workflows_;
   // Migration tombstones (guarded by mutex_): workflow -> MonoNanos of its
   // MigrateOut. Lets queued waiters (and requests racing the route flip)
@@ -476,8 +479,6 @@ class AsVisor {
   static constexpr int64_t kMigrationTombstoneNanos = 5'000'000'000;  // 5 s
   size_t inflight_global_ = 0;  // guarded by mutex_
   ServingOptions serving_;  // guarded by mutex_ (max_inflight can rebalance)
-  std::unique_ptr<asbase::ThreadPool> serving_pool_;
-  std::unique_ptr<ashttp::HttpServer> watchdog_;
 
   // ---- flight recorder / tail retention / SLO (DESIGN.md §11) ----
   // Per-shard ring; capacity from ALLOY_FLIGHT_RING (default 1024, 0 =

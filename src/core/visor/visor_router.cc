@@ -7,6 +7,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
+#include "src/http/parser.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rebalance.h"
 
@@ -16,11 +17,11 @@ namespace {
 constexpr size_t kVnodesPerShard = 64;
 constexpr size_t kMaxShards = 64;
 
-// A request follows at most this many internal migration redirects before
-// the 307 goes back to the client. Two covers the normal case (one
-// migration while queued, maybe one more racing the retry); anything past
-// that means the rebalancer is thrashing and the client's retry is the
-// better backstop.
+// A request is served at most this many times — the first try plus one
+// re-serve per migration it is caught by — before a 307 goes back to the
+// client. Two covers the normal case (one migration while queued, maybe
+// one more racing the retry); anything past that means the rebalancer is
+// thrashing and the client's retry is the better backstop.
 constexpr int kMaxMigrationHops = 4;
 
 // FNV-1a 64-bit with a murmur-style finalizer. Deterministic across builds
@@ -87,6 +88,64 @@ size_t ShardSlice(size_t total, size_t shard, size_t shard_count) {
   const size_t base = total / shard_count;
   const size_t extra = shard < total % shard_count ? 1 : 0;
   return std::max<size_t>(1, base + extra);
+}
+
+ashttp::HttpResponse TextResponse(int status, std::string reason,
+                                  std::string body) {
+  ashttp::HttpResponse response;
+  response.status = status;
+  response.reason = std::move(reason);
+  response.body = std::move(body);
+  return response;
+}
+
+ashttp::HttpResponse JsonResponse(const asbase::Json& doc) {
+  ashttp::HttpResponse response;
+  response.headers["content-type"] = "application/json";
+  response.body = doc.Dump();
+  return response;
+}
+
+// HTTP for one served /invoke request (every verdict but kMigrated, which
+// Dispatch re-serves).
+ashttp::HttpResponse ServedResponse(const std::string& workflow,
+                                    const AsVisor::ServeResult& served) {
+  const std::string message = served.invoked.status().ToString();
+  switch (served.admission) {
+    case AsVisor::Admission::kNotFound:
+      return TextResponse(404, "Not Found", message);
+    case AsVisor::Admission::kDraining:
+      return TextResponse(503, "Service Unavailable", message);
+    case AsVisor::Admission::kRejected: {
+      ashttp::HttpResponse response =
+          TextResponse(429, "Too Many Requests", message);
+      response.headers["retry-after"] =
+          std::to_string(served.retry_after_seconds);
+      return response;
+    }
+    case AsVisor::Admission::kMigrated:
+    case AsVisor::Admission::kAdmitted:
+      break;
+  }
+  if (!served.invoked.ok()) {
+    switch (served.invoked.status().code()) {
+      case asbase::ErrorCode::kNotFound:
+        return TextResponse(404, "Not Found", message);
+      case asbase::ErrorCode::kDeadlineExceeded:
+        return TextResponse(504, "Gateway Timeout", message);
+      default:
+        return TextResponse(500, "Error", message);
+    }
+  }
+  const InvokeResult& invoked = *served.invoked;
+  asbase::Json body;
+  body.Set("workflow", workflow);
+  body.Set("cold_start_nanos", invoked.cold_start_nanos);
+  body.Set("end_to_end_nanos", invoked.end_to_end_nanos);
+  body.Set("warm_start", invoked.warm_start);
+  body.Set("instances", static_cast<int64_t>(invoked.run.instances_run));
+  body.Set("result", invoked.run.result);
+  return JsonResponse(body);
 }
 
 }  // namespace
@@ -319,9 +378,8 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
   if (server_ != nullptr) {
     return asbase::FailedPrecondition("watchdog already running");
   }
-  if (serving.worker_threads == 0 || serving.max_inflight == 0) {
-    return asbase::InvalidArgument(
-        "worker_threads and max_inflight must be >= 1");
+  if (serving.max_inflight == 0) {
+    return asbase::InvalidArgument("max_inflight must be >= 1");
   }
   std::vector<std::shared_ptr<AsVisor>> shards = SnapshotShards();
   {
@@ -331,8 +389,6 @@ asbase::Status AsVisorRouter::StartWatchdog(uint16_t port,
   for (size_t i = 0; i < shards.size(); ++i) {
     AsVisor::ServingOptions slice = serving;
     slice.max_inflight = ShardSlice(serving.max_inflight, i, shards.size());
-    slice.worker_threads =
-        ShardSlice(serving.worker_threads, i, shards.size());
     asbase::Status started = shards[i]->StartServing(slice);
     if (!started.ok()) {
       for (size_t j = 0; j < i; ++j) {
@@ -402,29 +458,49 @@ ashttp::HttpResponse AsVisorRouter::Dispatch(
     const ashttp::HttpRequest& request) {
   const std::string name =
       request.target.substr(std::string("/invoke/").size());
+  asbase::Json params;
+  if (!request.body.empty()) {
+    auto parsed = asbase::Json::Parse(request.body);
+    if (!parsed.ok()) {
+      return TextResponse(400, "Bad Request", parsed.status().ToString());
+    }
+    params = std::move(*parsed);
+  }
+  int64_t budget_ms = -1;  // the workflow's default
+  auto budget_header = request.headers.find("x-queue-budget-ms");
+  if (budget_header != request.headers.end()) {
+    auto budget = ashttp::ParseDecimal(budget_header->second, UINT64_MAX);
+    if (!budget.ok()) {
+      return TextResponse(400, "Bad Request",
+                          "x-queue-budget-ms: " + budget.status().ToString());
+    }
+    budget_ms = static_cast<int64_t>(std::min<uint64_t>(
+        *budget, static_cast<uint64_t>(AsVisor::kMaxQueueBudgetMs)));
+  }
   // Routing is the only shared step on the hot path, and it takes a read
   // lock at most — an unregistered name falls through to the hash shard,
-  // which answers 404 itself.
+  // which answers kNotFound itself.
   int64_t carried_wait_nanos = 0;
-  ashttp::HttpResponse response;
+  std::string migrated_message;
   for (int hop = 0; hop < kMaxMigrationHops; ++hop) {
-    response = ResolveShard(name)->HandleInvoke(request, carried_wait_nanos);
-    if (response.status != 307 ||
-        response.headers.find("x-alloy-migrated") == response.headers.end()) {
-      return response;
+    const AsVisor::ServeResult served =
+        ResolveShard(name)->Serve(name, params, budget_ms, carried_wait_nanos);
+    if (served.admission != AsVisor::Admission::kMigrated) {
+      return ServedResponse(name, served);
     }
     // Queue handoff: the workflow migrated while this request was queued
-    // (or racing the route flip). Re-dispatch to the new owner, carrying
-    // the queue wait already paid so the invocation's trace and flight
-    // record stay honest about the total.
+    // (or racing the route flip). Re-serve on the new owner, carrying the
+    // queue wait already paid so the invocation's trace and flight record
+    // stay honest about the total.
     queue_handoffs_->Add(1);
-    auto wait = response.headers.find("x-alloy-queue-wait-ns");
-    if (wait != response.headers.end()) {
-      carried_wait_nanos = std::atoll(wait->second.c_str());
-    }
+    carried_wait_nanos = served.queue_wait_nanos;
+    migrated_message = served.invoked.status().ToString();
   }
-  // Hop budget exhausted (the mesh is thrashing): surface the redirect to
-  // the client, whose retry re-enters with a fresh budget.
+  // Hop budget exhausted (the mesh is thrashing): redirect the client,
+  // whose retry re-enters with a fresh budget.
+  ashttp::HttpResponse response =
+      TextResponse(307, "Temporary Redirect", migrated_message);
+  response.headers["location"] = request.target;
   return response;
 }
 
@@ -432,23 +508,23 @@ ashttp::HttpResponse AsVisorRouter::ServeTrace(
     const std::string& target) const {
   const std::string workflow = QueryParam(target, "workflow");
   if (workflow.empty()) {
-    ashttp::HttpResponse response;
-    response.status = 400;
-    response.reason = "Bad Request";
     std::string names;
     for (const auto& shard : SnapshotShards()) {
       for (const std::string& name : shard->WorkflowNames()) {
         names += names.empty() ? name : ", " + name;
       }
     }
-    response.body = "usage: /trace?workflow=<name>; registered: " + names;
-    return response;
+    return TextResponse(400, "Bad Request",
+                        "usage: /trace?workflow=<name>; registered: " + names);
   }
-  return ResolveShard(workflow)->ServeTrace(target);
+  auto doc = ResolveShard(workflow)->ServeTrace(workflow);
+  if (!doc.ok()) {
+    return TextResponse(404, "Not Found", doc.status().ToString());
+  }
+  return JsonResponse(*doc);
 }
 
 ashttp::HttpResponse AsVisorRouter::ServeReadyz() const {
-  ashttp::HttpResponse response;
   asbase::Json doc;
   asbase::Json per_shard{asbase::JsonArray{}};
   bool any_draining = false;
@@ -463,12 +539,11 @@ ashttp::HttpResponse AsVisorRouter::ServeReadyz() const {
   }
   doc.Set("ready", !any_draining);
   doc.Set("shards", std::move(per_shard));
+  ashttp::HttpResponse response = JsonResponse(doc);
   if (any_draining) {
     response.status = 503;
     response.reason = "Service Unavailable";
   }
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
   return response;
 }
 
@@ -490,13 +565,22 @@ std::vector<asobs::FlightRecord> AsVisorRouter::MergedFlight(
 
 ashttp::HttpResponse AsVisorRouter::ServeFlight(
     const std::string& target) const {
+  int64_t since_nanos = 0;
+  const std::string since = QueryParam(target, "since");
+  if (!since.empty()) {
+    auto cursor = ashttp::ParseDecimal(since, INT64_MAX);
+    if (!cursor.ok()) {
+      return TextResponse(400, "Bad Request",
+                          "since: " + cursor.status().ToString());
+    }
+    since_nanos = static_cast<int64_t>(*cursor);
+  }
   const std::string workflow = QueryParam(target, "workflow");
   if (!workflow.empty()) {
     // The workflow lives on exactly one shard; its ring has every record.
-    return ResolveShard(workflow)->ServeFlight(target);
+    return JsonResponse(
+        ResolveShard(workflow)->ServeFlight(workflow, since_nanos));
   }
-  const std::string since = QueryParam(target, "since");
-  const int64_t since_nanos = since.empty() ? 0 : std::atoll(since.c_str());
   asbase::Json doc = asobs::FlightReportJson(MergedFlight(since_nanos));
   uint64_t recorded = 0;
   uint64_t dropped = 0;
@@ -512,23 +596,16 @@ ashttp::HttpResponse AsVisorRouter::ServeFlight(
   // latency step rides along with the records it affected.
   doc.Set("rebalance_events",
           asobs::RebalanceLog::Global().ToJson(since_nanos));
-  ashttp::HttpResponse response;
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
-  return response;
+  return JsonResponse(doc);
 }
 
 ashttp::HttpResponse AsVisorRouter::ServeLatency(
     const std::string& target) const {
   const std::string workflow = QueryParam(target, "workflow");
   if (!workflow.empty()) {
-    return ResolveShard(workflow)->ServeLatency(target);
+    return JsonResponse(ResolveShard(workflow)->ServeLatency(workflow));
   }
-  asbase::Json doc = asobs::LatencyAttributionJson(MergedFlight(0));
-  ashttp::HttpResponse response;
-  response.headers["content-type"] = "application/json";
-  response.body = doc.Dump();
-  return response;
+  return JsonResponse(asobs::LatencyAttributionJson(MergedFlight(0)));
 }
 
 uint16_t AsVisorRouter::watchdog_port() const {
@@ -550,13 +627,15 @@ void AsVisorRouter::StopWatchdog() {
   for (const auto& shard : shards) {
     shard->BeginDrain();
   }
-  // Phase 2: stop the shared server — joins its connection threads, whose
-  // queued waiters just unwound.
+  // Phase 2: stop the shared server — joins its workers: queued waiters
+  // just unwound, running invocations finish on the worker that admitted
+  // them.
   if (server_ != nullptr) {
     server_->Stop();
     server_.reset();
   }
-  // Phase 3: drain + destroy each shard's worker pool, index order.
+  // Phase 3: close each shard's admission for good, index order (nothing
+  // is in flight any more, so none of these waits).
   for (const auto& shard : shards) {
     shard->StopServing();
   }
@@ -692,10 +771,6 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
   if (target > old_count) {
     // Scale UP. Build + start the new shards before they become routable.
     std::vector<std::shared_ptr<AsVisor>> fresh;
-    const size_t total_workers = [&] {
-      std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-      return serving_total_.worker_threads;
-    }();
     for (size_t i = old_count; i < target; ++i) {
       std::shared_ptr<AsVisor> shard = MakeShard(i);
       if (serving_active_.load(std::memory_order_acquire)) {
@@ -704,7 +779,6 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
           std::shared_lock<std::shared_mutex> lock(routes_mutex_);
           slice = serving_total_;
         }
-        slice.worker_threads = ShardSlice(total_workers, i, target);
         slice.max_inflight = ShardSlice(slice.max_inflight, i, target);
         AS_RETURN_IF_ERROR(shard->StartServing(slice));
       }
@@ -762,8 +836,8 @@ asbase::Status AsVisorRouter::ScaleTo(size_t target) {
 
   if (target < old_count) {
     // Evacuated: detach the doomed shards, then drain them. In-flight
-    // requests still hold shard shared_ptrs from Dispatch and finish
-    // normally inside StopServing's join.
+    // requests still hold shard shared_ptrs from Dispatch; StopServing
+    // returns once the last of them has released its admission slot.
     std::vector<std::shared_ptr<AsVisor>> doomed;
     {
       std::unique_lock<std::shared_mutex> lock(routes_mutex_);

@@ -15,24 +15,23 @@
 //
 // Placement is a 64-vnode/shard FNV-1a hash ring, so changing the shard
 // count moves only ~1/(N+1) of the workflows (tested both directions).
-// Global serving budgets (`max_inflight`, worker threads) are divided into
-// per-shard slices at StartWatchdog. One shared HttpServer fronts all
-// shards: `/invoke/<wf>` routes to the owning shard with no cross-shard
-// lock on the hot path, `/metrics` serves the shared registry (shards label
-// their series `alloy_visor_shard="<i>"`), `/trace` routes by the workflow
-// query param.
+// The global in-flight budget is divided into per-shard slices at
+// StartWatchdog. The router's HttpServer is the process's one HTTP front
+// (a 1-shard router is the plain watchdog): `/invoke/<wf>` parses the
+// request once and calls the owning shard's typed `AsVisor::Serve` with no
+// cross-shard lock on the hot path — the invocation runs on the edge
+// worker that received it. `/metrics` serves the shared registry (shards
+// label their series `alloy_visor_shard="<i>"`), `/trace` routes by the
+// workflow query param.
 //
 // The mesh is *elastic*: MigrateWorkflow moves a workflow (warm pool and
 // queued admissions included) between shards, ScaleTo grows or shrinks the
 // shard count within [min_shards, max_shards], and an optional
 // ShardRebalancer (RouterOptions::rebalancer.enabled) drives both plus
-// demand-weighted budget re-slicing from a control loop. Requests caught
-// mid-migration carry their paid queue wait through an internal 307 hop
-// (`x-alloy-migrated`), so a migration costs a re-dispatch, not a 503.
-//
-// The router exposes the same surface as AsVisor (RegisterWorkflow /
-// Invoke / StartWatchdog), so the watchdog, benches, and tests swap over
-// by constructing an AsVisorRouter instead of an AsVisor.
+// demand-weighted budget re-slicing from a control loop. A request caught
+// mid-migration comes back from Serve as `kMigrated` with its paid queue
+// wait, and Dispatch re-serves it on the new owner, so a migration costs a
+// re-dispatch, not a 503.
 
 #ifndef SRC_CORE_VISOR_VISOR_ROUTER_H_
 #define SRC_CORE_VISOR_VISOR_ROUTER_H_
@@ -47,6 +46,7 @@
 
 #include "src/core/visor/visor.h"
 #include "src/core/visor/visor_rebalancer.h"
+#include "src/http/http.h"
 
 namespace alloy {
 
@@ -99,22 +99,24 @@ class AsVisorRouter {
                                       const AsVisor::InvokeOptions& options);
 
   // One shared HTTP server for all shards. `serving` carries the GLOBAL
-  // budgets; the router divides max_inflight and worker_threads into
-  // per-shard slices (each at least 1, remainder to the lowest shards).
+  // budget; the router divides max_inflight into per-shard slices (each at
+  // least 1, remainder to the lowest shards).
   // Starts the rebalancer when RouterOptions enabled it.
   asbase::Status StartWatchdog(uint16_t port = 0);
   asbase::Status StartWatchdog(uint16_t port, AsVisor::ServingOptions serving);
   uint16_t watchdog_port() const;
   // Stops the rebalancer, then three deterministic phases: (1) BeginDrain
   // on every shard in index order — queued admissions unwind with 503;
-  // (2) stop the shared server, joining its connection threads; (3)
-  // StopServing each shard in index order (drains + destroys its pool).
+  // (2) stop the shared server, joining its workers and so every running
+  // invocation; (3) StopServing each shard in index order.
   void StopWatchdog();
 
-  // The serving pipeline without the HTTP socket: routes the request to the
-  // owning shard's HandleInvoke (admission + dispatch + response mapping),
-  // following internal migration redirects (bounded hops) so a workflow
-  // moving shards costs the client nothing but the re-queue.
+  // The serving pipeline without the HTTP socket: parses the params body
+  // and `x-queue-budget-ms` (400 when malformed), serves the request on the
+  // owning shard (admission + the run, on this thread) and maps the
+  // verdict to HTTP. A `kMigrated` verdict is re-served on the new owner
+  // (bounded hops), so a workflow moving shards costs the client nothing
+  // but the re-queue; past the hop budget the client gets a 307.
   // What the shared server's handler calls; benches drive it directly.
   ashttp::HttpResponse Dispatch(const ashttp::HttpRequest& request);
 
@@ -137,7 +139,8 @@ class AsVisorRouter {
   // migrates the workflows whose hash placement moved (~1/(N+1)).
   // Scale-down migrates every workflow off the doomed shards (hash owners
   // for free workflows, pin % target for pinned ones), drains them, and
-  // removes them. Either direction re-slices the in-flight budget evenly.
+  // removes them, returning only after their running invocations finish.
+  // Either direction re-slices the in-flight budget evenly.
   asbase::Status ScaleTo(size_t target);
 
   size_t min_shards() const { return min_shards_; }

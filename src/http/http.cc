@@ -83,7 +83,7 @@ asbase::Status ReadBody(ByteStream& stream,
     // overflowing value threw out of a server thread and took the whole
     // process down. Validate instead and bound what we will buffer.
     AS_ASSIGN_OR_RETURN(content_length,
-                        ParseContentLength(it->second, kBlockingMaxBody));
+                        ParseDecimal(it->second, kBlockingMaxBody));
   }
   *body = std::move(leftover);
   if (body->size() > content_length) {

@@ -102,8 +102,8 @@ struct HttpServerOptions {
   // are dealt round-robin. [env ALLOY_EDGE_REACTORS]
   size_t reactors = 1;
   // Handler worker threads. Parsed requests execute here, so a slow
-  // invocation occupies a worker, never a reactor. 0 = max(4, hardware
-  // concurrency). [env ALLOY_EDGE_WORKERS]
+  // invocation occupies a worker, never a reactor. 0 = max(64, 4 ×
+  // hardware concurrency). [env ALLOY_EDGE_WORKERS]
   size_t workers = 0;
   // Concurrent connection cap. Accepts past the cap answer 503 and close.
   // [env ALLOY_EDGE_MAX_CONNS]

@@ -75,23 +75,27 @@ asbase::Status ParseHead(std::string_view head, HttpRequest* request) {
 
 }  // namespace
 
-asbase::Result<size_t> ParseContentLength(std::string_view value,
-                                          size_t max_bytes) {
+asbase::Result<uint64_t> ParseDecimal(std::string_view value,
+                                      uint64_t max_value) {
   value = Trim(value);
   if (value.empty() || value.size() > 19) {
-    return asbase::InvalidArgument("malformed content-length");
+    return asbase::InvalidArgument("malformed decimal '" + std::string(value) +
+                                   "'");
   }
   uint64_t parsed = 0;
   for (char c : value) {
     if (c < '0' || c > '9') {
-      return asbase::InvalidArgument("malformed content-length");
+      return asbase::InvalidArgument("malformed decimal '" +
+                                     std::string(value) + "'");
     }
     parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
   }
-  if (parsed > max_bytes) {
-    return asbase::ResourceExhausted("body larger than limit");
+  if (parsed > max_value) {
+    return asbase::ResourceExhausted("value " + std::to_string(parsed) +
+                                     " above limit " +
+                                     std::to_string(max_value));
   }
-  return static_cast<size_t>(parsed);
+  return parsed;
 }
 
 bool HasConnectionToken(std::string_view header_value,
@@ -184,8 +188,7 @@ asbase::Status RequestParser::ConsumeHead(std::vector<HttpRequest>* out) {
   const auto it = request->headers.find("content-length");
   if (it != request->headers.end()) {
     AS_ASSIGN_OR_RETURN(content_length,
-                        ParseContentLength(it->second,
-                                           limits_.max_body_bytes));
+                        ParseDecimal(it->second, limits_.max_body_bytes));
   }
   buffer_.erase(0, end + 4);
   if (content_length == 0) {

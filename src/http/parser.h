@@ -7,10 +7,10 @@
 // message), one, or several (pipelined HTTP/1.1), in arrival order.
 //
 // Hardened against remote input by construction:
-//   * `Content-Length` is validated as a plain decimal token and bounded by
-//     `Limits::max_body_bytes` — the seed parser fed the raw header to
-//     `std::stoull`, so "content-length: banana" threw an uncaught
-//     exception in a server thread and killed the process.
+//   * `Content-Length` is validated as a plain decimal token (ParseDecimal)
+//     and bounded by `Limits::max_body_bytes` — the seed parser fed the raw
+//     header to `std::stoull`, so "content-length: banana" threw an
+//     uncaught exception in a server thread and killed the process.
 //   * Header blocks are bounded by `Limits::max_header_bytes`.
 //   * `Connection` is parsed as a case-insensitive token list, and HTTP/1.0
 //     requests default to close — the seed compared the raw value against
@@ -20,6 +20,7 @@
 #define SRC_HTTP_PARSER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,11 +32,13 @@ namespace ashttp {
 
 struct HttpRequest;
 
-// Decimal-token Content-Length validation. Rejects (kInvalidArgument)
-// anything but [0-9]+, values that overflow uint64, and (kResourceExhausted)
-// values above `max_bytes`.
-asbase::Result<size_t> ParseContentLength(std::string_view value,
-                                          size_t max_bytes);
+// Validated decimal token for numbers that arrive from the network
+// (Content-Length, x-queue-budget-ms, query cursors). Surrounding blanks
+// are trimmed. Rejects (kInvalidArgument) anything but [0-9]+ — signs,
+// inner blanks, the empty string — and tokens of 20+ digits, which could
+// overflow uint64; rejects (kResourceExhausted) values above `max_value`.
+asbase::Result<uint64_t> ParseDecimal(std::string_view value,
+                                      uint64_t max_value);
 
 // True when the request's Connection semantics call for closing after the
 // response: a "close" token in the (case-insensitive, comma-separated)

@@ -17,6 +17,7 @@
 #include "src/core/asstd/asstd.h"
 #include "src/core/asstd/wasi.h"
 #include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/obs/metrics.h"
 
 namespace alloy {
@@ -456,33 +457,6 @@ TEST(OrchestratorTest, StageInstancesRunInParallel) {
       << "stage wall / summed instance time: the 4 instances did not overlap";
 }
 
-TEST(OrchestratorTest, SpawnPerStageFallbackStillRunsAndCountsSpawns) {
-  auto wfd = Wfd::Create(SmallWfd());
-  ASSERT_TRUE(wfd.ok());
-  FunctionRegistry::Global().Register(
-      "test.noop2", [](FunctionContext& ctx) -> asbase::Status {
-        ctx.SetResult("ok");
-        return asbase::OkStatus();
-      });
-  WorkflowSpec spec;
-  spec.name = "legacy";
-  spec.stages.push_back(StageSpec{{FunctionSpec{"test.noop2", 3}}});
-
-  asobs::Counter& spawns = asobs::Registry::Global().GetCounter(
-      "alloy_orch_thread_spawns_total");
-  const uint64_t before = spawns.value();
-  Orchestrator orchestrator(wfd->get());
-  Orchestrator::RunOptions options;
-  options.spawn_per_stage = true;
-  auto stats = orchestrator.Run(spec, asbase::Json(), options);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->instances_run, 3u);
-  EXPECT_EQ(spawns.value() - before, 3u)
-      << "the legacy path spawns one thread per stage instance";
-  EXPECT_EQ((*wfd)->stage_worker_count(), 0u)
-      << "spawn_per_stage must not create the worker pool";
-}
-
 TEST(OrchestratorTest, RetryRecoversIdempotentFunction) {
   // Retry-based fault tolerance (§3.1): an idempotent function that crashes
   // once succeeds on re-execution without poisoning the WFD.
@@ -598,20 +572,22 @@ TEST(VisorTest, WatchdogInvokesOverHttp) {
         ctx.SetResult("via-http:" + ctx.params()["x"].as_string());
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  RouterOptions router_options;
+  router_options.shards = 1;
+  AsVisorRouter router(router_options);
   WorkflowSpec spec;
   spec.name = "httpwf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"test.http-fn", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   ashttp::HttpRequest request;
   request.method = "POST";
   request.target = "/invoke/httpwf";
   request.body = R"({"x":"42"})";
-  auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 200);
   EXPECT_NE(response->body.find("via-http:42"), std::string::npos);
@@ -620,13 +596,13 @@ TEST(VisorTest, WatchdogInvokesOverHttp) {
   ashttp::HttpRequest health;
   health.method = "GET";
   health.target = "/health";
-  EXPECT_EQ(ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), health)->body,
+  EXPECT_EQ(ashttp::HttpCall("127.0.0.1", router.watchdog_port(), health)->body,
             "ok");
   request.target = "/invoke/missing";
-  EXPECT_EQ(ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request)
+  EXPECT_EQ(ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request)
                 ->status,
             404);
-  visor.StopWatchdog();
+  router.StopWatchdog();
 }
 
 TEST(VisorTest, LatencyHistogramAccumulates) {

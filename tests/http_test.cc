@@ -99,21 +99,21 @@ TEST(HttpParseTest, TruncatedBodyRejected) {
 // ------------------------------------------------------------ parser units
 
 TEST(HttpParseTest, ContentLengthValidation) {
-  EXPECT_EQ(*ParseContentLength("0", 1024), 0u);
-  EXPECT_EQ(*ParseContentLength("123", 1024), 123u);
-  EXPECT_EQ(*ParseContentLength("  42  ", 1024), 42u);
-  EXPECT_EQ(ParseContentLength("banana", 1024).status().code(),
+  EXPECT_EQ(*ParseDecimal("0", 1024), 0u);
+  EXPECT_EQ(*ParseDecimal("123", 1024), 123u);
+  EXPECT_EQ(*ParseDecimal("  42  ", 1024), 42u);
+  EXPECT_EQ(ParseDecimal("banana", 1024).status().code(),
             asbase::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(ParseContentLength("-1", 1024).status().code(),
+  EXPECT_EQ(ParseDecimal("-1", 1024).status().code(),
             asbase::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(ParseContentLength("1 2", 1024).status().code(),
+  EXPECT_EQ(ParseDecimal("1 2", 1024).status().code(),
             asbase::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(ParseContentLength("", 1024).status().code(),
+  EXPECT_EQ(ParseDecimal("", 1024).status().code(),
             asbase::ErrorCode::kInvalidArgument);
   // 20+ digits would overflow uint64 — rejected by length, not by wrapping.
-  EXPECT_EQ(ParseContentLength("99999999999999999999", 1024).status().code(),
+  EXPECT_EQ(ParseDecimal("99999999999999999999", 1024).status().code(),
             asbase::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(ParseContentLength("2048", 1024).status().code(),
+  EXPECT_EQ(ParseDecimal("2048", 1024).status().code(),
             asbase::ErrorCode::kResourceExhausted);
 }
 

@@ -14,6 +14,7 @@
 
 #include "src/core/asstd/asstd.h"
 #include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/core/visor/wfd_pool.h"
 #include "src/http/http.h"
 #include "src/obs/metrics.h"
@@ -233,8 +234,10 @@ alloy::WfdOptions SmallWfd() {
 }
 
 // Registers a file-writing function (forces fdtab+fatfs module loads) and a
-// workflow running it once. Returns the workflow name.
-std::string RegisterIoWorkflow(alloy::AsVisor& visor, const std::string& name,
+// workflow running it once on `visor` (an AsVisor or an AsVisorRouter).
+// Returns the workflow name.
+template <typename Visor>
+std::string RegisterIoWorkflow(Visor& visor, const std::string& name,
                                bool on_demand) {
   alloy::FunctionRegistry::Global().Register(
       "test.obs-io", [](alloy::FunctionContext& ctx) -> asbase::Status {
@@ -335,15 +338,17 @@ TEST(VisorObsTest, InvokeBumpsGlobalCounters) {
 }
 
 TEST(VisorObsTest, WatchdogServesMetricsAndTrace) {
-  alloy::AsVisor visor;
-  RegisterIoWorkflow(visor, "obs-http", /*on_demand=*/true);
-  ASSERT_TRUE(visor.Invoke("obs-http", asbase::Json()).ok());
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  alloy::RouterOptions router_options;
+  router_options.shards = 1;
+  alloy::AsVisorRouter router(router_options);
+  RegisterIoWorkflow(router, "obs-http", /*on_demand=*/true);
+  ASSERT_TRUE(router.Invoke("obs-http", asbase::Json()).ok());
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   ashttp::HttpRequest request;
   request.method = "GET";
   request.target = "/metrics";
-  auto metrics = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto metrics = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->status, 200);
   for (const char* name :
@@ -352,14 +357,14 @@ TEST(VisorObsTest, WatchdogServesMetricsAndTrace) {
     EXPECT_NE(metrics->body.find(name), std::string::npos)
         << name << " missing from /metrics after an invocation";
   }
-  EXPECT_NE(
-      metrics->body.find("alloy_visor_invocations_total{workflow=\"obs-http\"}"),
-      std::string::npos)
+  EXPECT_NE(metrics->body.find("alloy_visor_invocations_total{workflow="
+                               "\"obs-http\",alloy_visor_shard=\"0\"}"),
+            std::string::npos)
       << metrics->body;
 
   request.target = "/trace?workflow=obs-http";
   auto trace_response =
-      ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+      ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(trace_response.ok());
   EXPECT_EQ(trace_response->status, 200);
   auto doc = asbase::Json::Parse(trace_response->body);
@@ -388,13 +393,13 @@ TEST(VisorObsTest, WatchdogServesMetricsAndTrace) {
   // Missing / unknown workflow parameters.
   request.target = "/trace";
   EXPECT_EQ(
-      ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request)->status,
+      ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request)->status,
       400);
   request.target = "/trace?workflow=no-such";
   EXPECT_EQ(
-      ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request)->status,
+      ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request)->status,
       404);
-  visor.StopWatchdog();
+  router.StopWatchdog();
 }
 
 // During re-registration (and during router-driven migration between

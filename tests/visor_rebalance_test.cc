@@ -152,7 +152,6 @@ TEST(RebalanceTest, QueuedAdmissionsHandOffDuringMigration) {
   router.RegisterWorkflow(GateSpec("handoffwf"), options);
   const size_t from = router.ShardOf("handoffwf");
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 
@@ -267,7 +266,6 @@ TEST(RebalanceTest, ResliceShiftsBudgetTowardHotShardAndBack) {
   options.pin_shard = 1;
   router.RegisterWorkflow(EchoSpec("coldwf"), options);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
   ASSERT_EQ(router.shard(0).max_inflight(), 4u);
@@ -378,6 +376,53 @@ TEST(RebalanceTest, ScaleDownRedistributesAFractionAndEvacuates) {
   }
 }
 
+TEST(RebalanceTest, ScaleDownWaitsForInvocationsRunningOnRemovedShards) {
+  gate_release = false;
+  RouterOptions router_options;
+  router_options.shards = 2;
+  router_options.min_shards = 1;
+  router_options.max_shards = 2;
+  AsVisorRouter router(router_options);
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 0;
+  options.pin_shard = 1;  // runs on the shard the scale-down removes
+  router.RegisterWorkflow(GateSpec("drain-on-scale"), options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
+
+  std::atomic<int> status{0};
+  std::thread client([&] {
+    auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
+                                     InvokeRequest("drain-on-scale"));
+    status = response.ok() ? response->status : -1;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gate_running.load() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(gate_running.load(), 1);
+
+  std::atomic<bool> scaled{false};
+  std::thread scaler([&] {
+    EXPECT_TRUE(router.ScaleTo(1).ok());
+    scaled = true;
+  });
+  // Shard 1 still runs the gated invocation: ScaleTo must not return (and
+  // drop the shard) until it has finished.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(scaled.load())
+      << "ScaleTo returned while a removed shard still ran an invocation";
+  gate_release = true;
+  scaler.join();
+  client.join();
+  EXPECT_EQ(status.load(), 200);
+  EXPECT_EQ(gate_running.load(), 0);
+  EXPECT_EQ(router.shard_count(), 1u);
+  router.StopWatchdog();
+}
+
 TEST(RebalanceTest, RebalancerScalesUpUnderLoadAndBackDownWhenIdle) {
   gate_release = false;
   gate_running = 0;
@@ -394,7 +439,6 @@ TEST(RebalanceTest, RebalancerScalesUpUnderLoadAndBackDownWhenIdle) {
   options.queueing_budget_ms = 60'000;
   router.RegisterWorkflow(GateSpec("elasticwf"), options);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 4;
   serving.max_inflight = 2;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 

@@ -185,7 +185,6 @@ TEST(VisorRouterTest, SharedServerRoutesMixedLoadWithShardLabels) {
     router.RegisterWorkflow(EchoSpec("mixed-" + std::to_string(i)), options);
   }
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 8;
   ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
   // Each shard got an even slice of the global budget.
@@ -423,6 +422,103 @@ TEST(VisorRouterTest, DebugFlightMergesAcrossShards) {
   ASSERT_TRUE(latency_doc.ok());
   EXPECT_GE((*latency_doc)["count"].as_int(), 2);
   EXPECT_FALSE((*latency_doc)["tail_owner"].as_string().empty());
+}
+
+
+TEST(VisorRouterTest, QueueBudgetHeaderIsValidatedAndClamped) {
+  static std::atomic<bool> started{false};
+  static std::atomic<bool> release{false};
+  started = false;
+  release = true;
+  FunctionRegistry::Global().Register(
+      "router.budgetgate", [](FunctionContext& ctx) -> asbase::Status {
+        started = true;
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ctx.SetResult("released");
+        return asbase::OkStatus();
+      });
+  RouterOptions router_options;
+  router_options.shards = 1;
+  AsVisorRouter router(router_options);
+  WorkflowSpec spec;
+  spec.name = "budgethdr";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"router.budgetgate", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.max_concurrency = 1;
+  options.queue_capacity = 4;
+  // Zero default budget: only a request whose own header grants a budget
+  // may queue; the rest are turned away at once.
+  options.queueing_budget_ms = 0;
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
+  // One completed run seeds the service-time EWMA, so a queued arrival has
+  // a predicted wait > 0 to compare against its budget.
+  ASSERT_TRUE(router.Invoke("budgethdr", asbase::Json()).ok());
+
+  release = false;
+  started = false;
+  std::thread holder([&] {
+    auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
+                                     InvokeRequest("budgethdr"));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 200) << response->body;
+  });
+  while (!started) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Malformed budgets are the client's error, not a zero budget.
+  for (const char* malformed : {"banana", "-5", ""}) {
+    auto request = InvokeRequest("budgethdr");
+    request.headers["x-queue-budget-ms"] = malformed;
+    auto response =
+        ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 400) << "'" << malformed << "'";
+  }
+
+  // INT64_MAX ms clamps to the largest budget: it queues behind the holder
+  // instead of overflowing into a negative budget and a 429.
+  std::atomic<int> patient_status{0};
+  std::thread patient([&] {
+    auto request = InvokeRequest("budgethdr");
+    request.headers["x-queue-budget-ms"] = "9223372036854775807";
+    auto response =
+        ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
+    patient_status = response.ok() ? response->status : -1;
+  });
+  asobs::Gauge& queued = asobs::Registry::Global().GetGauge(
+      "alloy_visor_queued",
+      {{"workflow", "budgethdr"}, {"alloy_visor_shard", "0"}});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (queued.value() < 1 && patient_status.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(queued.value(), 1) << "status " << patient_status.load();
+  release = true;
+  holder.join();
+  patient.join();
+  EXPECT_EQ(patient_status.load(), 200);
+
+  // The flight cursor goes through the same validation.
+  ashttp::HttpRequest flight;
+  flight.method = "GET";
+  flight.target = "/debug/flight?since=banana";
+  auto bad_cursor =
+      ashttp::HttpCall("127.0.0.1", router.watchdog_port(), flight);
+  ASSERT_TRUE(bad_cursor.ok());
+  EXPECT_EQ(bad_cursor->status, 400);
+  flight.target = "/debug/flight?workflow=budgethdr&since=1";
+  auto good_cursor =
+      ashttp::HttpCall("127.0.0.1", router.watchdog_port(), flight);
+  ASSERT_TRUE(good_cursor.ok());
+  EXPECT_EQ(good_cursor->status, 200);
+  router.StopWatchdog();
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the visor serving layer (DESIGN.md §8): warm-WFD pooling,
 // pre-warm floor + idle-TTL eviction, concurrent watchdog dispatch,
 // admission control (queue-with-budget, 429 + computed Retry-After),
-// cooperative deadlines (504), and the destroy-on-failure rule.
+// cooperative deadlines (504), and the destroy-on-failure rule. HTTP-level
+// tests serve through a 1-shard AsVisorRouter, the plain watchdog.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/core/visor/visor.h"
+#include "src/core/visor/visor_router.h"
 #include "src/core/visor/wfd_pool.h"
 #include "src/obs/metrics.h"
 
@@ -39,6 +41,23 @@ uint64_t CounterValue(const std::string& name, const std::string& workflow) {
   return asobs::Registry::Global()
       .GetCounter(name, {{"workflow", workflow}})
       .value();
+}
+
+// The watchdog: a 1-shard router.
+RouterOptions OneShard() {
+  RouterOptions options;
+  options.shards = 1;
+  return options;
+}
+
+// A workflow's series as the 1-shard router's shard 0 labels them.
+asobs::Labels Shard0(const std::string& workflow) {
+  return {{"workflow", workflow}, {"alloy_visor_shard", "0"}};
+}
+
+uint64_t Shard0CounterValue(const std::string& name,
+                            const std::string& workflow) {
+  return asobs::Registry::Global().GetCounter(name, Shard0(workflow)).value();
 }
 
 // ------------------------------------------------------------- WfdPool
@@ -192,15 +211,15 @@ TEST(VisorServingTest, ConcurrentWatchdogInvocationsRunInParallel) {
         ctx.SetResult("slept");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "parwf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.sleep100", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.max_concurrency = 4;
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -211,7 +230,7 @@ TEST(VisorServingTest, ConcurrentWatchdogInvocationsRunInParallel) {
       request.method = "POST";
       request.target = "/invoke/parwf";
       auto response =
-          ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+          ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
       if (response.ok() && response->status == 200) {
         ++ok_count;
       }
@@ -242,25 +261,25 @@ TEST(VisorServingTest, SaturationRejectsWith429) {
         ctx.SetResult("released");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "satwf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.block", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.max_concurrency = 1;
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   const uint64_t rejections0 =
-      CounterValue("alloy_visor_rejections_total", "satwf");
+      Shard0CounterValue("alloy_visor_rejections_total", "satwf");
 
   std::thread first([&] {
     ashttp::HttpRequest request;
     request.method = "POST";
     request.target = "/invoke/satwf";
     auto response =
-        ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+        ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->status, 200);
   });
@@ -273,18 +292,18 @@ TEST(VisorServingTest, SaturationRejectsWith429) {
   ashttp::HttpRequest request;
   request.method = "POST";
   request.target = "/invoke/satwf";
-  auto rejected = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto rejected = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(rejected.ok());
   EXPECT_EQ(rejected->status, 429);
   EXPECT_EQ(rejected->headers.count("retry-after"), 1u);
-  EXPECT_EQ(CounterValue("alloy_visor_rejections_total", "satwf"),
+  EXPECT_EQ(Shard0CounterValue("alloy_visor_rejections_total", "satwf"),
             rejections0 + 1);
 
   release = true;
   first.join();
 
   // With the slot free again the workflow is admissible.
-  auto admitted = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto admitted = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(admitted.ok());
   EXPECT_EQ(admitted->status, 200);
 }
@@ -296,7 +315,7 @@ TEST(VisorServingTest, SlowStageTripsDeadline) {
         ctx.SetResult("too late");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "slowwf";
   // Two stages so the deadline check after the slow stage's barrier stops
@@ -306,21 +325,23 @@ TEST(VisorServingTest, SlowStageTripsDeadline) {
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.timeout_ms = 50;
-  visor.RegisterWorkflow(spec, options);
+  router.RegisterWorkflow(spec, options);
 
-  const uint64_t timeouts0 = CounterValue("alloy_visor_timeouts_total", "slowwf");
-  auto result = visor.Invoke("slowwf", asbase::Json());
+  const uint64_t timeouts0 =
+      Shard0CounterValue("alloy_visor_timeouts_total", "slowwf");
+  auto result = router.Invoke("slowwf", asbase::Json());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), asbase::ErrorCode::kDeadlineExceeded)
       << result.status().ToString();
-  EXPECT_EQ(CounterValue("alloy_visor_timeouts_total", "slowwf"), timeouts0 + 1);
+  EXPECT_EQ(Shard0CounterValue("alloy_visor_timeouts_total", "slowwf"),
+            timeouts0 + 1);
 
   // Over HTTP the deadline maps to 504 with the status visible in the body.
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
   ashttp::HttpRequest request;
   request.method = "POST";
   request.target = "/invoke/slowwf";
-  auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 504);
   EXPECT_NE(response->body.find("DEADLINE_EXCEEDED"), std::string::npos);
@@ -368,6 +389,62 @@ ashttp::HttpRequest InvokeRequest(const std::string& workflow,
   return request;
 }
 
+TEST(VisorServingTest, EveryAdmittedInvocationIsRunning) {
+  static std::atomic<int> running{0};
+  static std::atomic<bool> release{false};
+  running = 0;
+  release = false;
+  FunctionRegistry::Global().Register(
+      "serving.gate12", [](FunctionContext& ctx) -> asbase::Status {
+        ++running;
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ctx.SetResult("released");
+        return asbase::OkStatus();
+      });
+  AsVisorRouter router(OneShard());
+  WorkflowSpec spec;
+  spec.name = "admitrunwf";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.gate12", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.max_concurrency = 12;
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());  // default ServingOptions
+
+  std::vector<std::thread> clients;
+  std::atomic<int> ok_count{0};
+  for (int i = 0; i < 12; ++i) {
+    clients.emplace_back([&] {
+      auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
+                                       InvokeRequest("admitrunwf"));
+      if (response.ok() && response->status == 200) {
+        ++ok_count;
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (running.load() < 12 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int peak = running.load();
+  const int64_t inflight = asobs::Registry::Global()
+                               .GetGauge("alloy_visor_inflight",
+                                         {{"alloy_visor_shard", "0"}})
+                               .value();
+  release = true;
+  for (auto& client : clients) {
+    client.join();
+  }
+  // Admission is the only execution bound: no admitted request waits in a
+  // queue that no flight phase records.
+  EXPECT_EQ(peak, 12) << "admitted invocations must all be running";
+  EXPECT_EQ(inflight, 12);
+  EXPECT_EQ(ok_count.load(), 12);
+}
+
 TEST(VisorServingTest, BurstQueuesThenServesWithinBudget) {
   FunctionRegistry::Global().Register(
       "serving.sleep30", [](FunctionContext& ctx) -> asbase::Status {
@@ -375,7 +452,7 @@ TEST(VisorServingTest, BurstQueuesThenServesWithinBudget) {
         ctx.SetResult("done");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "queuewf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.sleep30", 1}}});
@@ -385,11 +462,11 @@ TEST(VisorServingTest, BurstQueuesThenServesWithinBudget) {
   options.max_concurrency = 1;
   options.queue_capacity = 8;
   options.queueing_budget_ms = 10'000;
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   const uint64_t rejections0 =
-      CounterValue("alloy_visor_rejections_total", "queuewf");
+      Shard0CounterValue("alloy_visor_rejections_total", "queuewf");
 
   // 4 concurrent requests against max_concurrency=1: pre-queue behavior
   // rejected 3 of them; with a queue and a generous budget all 4 serve.
@@ -397,7 +474,7 @@ TEST(VisorServingTest, BurstQueuesThenServesWithinBudget) {
   std::atomic<int> ok_count{0};
   for (int i = 0; i < 4; ++i) {
     clients.emplace_back([&] {
-      auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+      auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                        InvokeRequest("queuewf"));
       if (response.ok() && response->status == 200) {
         ++ok_count;
@@ -408,12 +485,12 @@ TEST(VisorServingTest, BurstQueuesThenServesWithinBudget) {
     client.join();
   }
   EXPECT_EQ(ok_count.load(), 4);
-  EXPECT_EQ(CounterValue("alloy_visor_rejections_total", "queuewf"),
+  EXPECT_EQ(Shard0CounterValue("alloy_visor_rejections_total", "queuewf"),
             rejections0);
   // At least the non-first requests waited in the queue.
   const auto queue_wait = asobs::Registry::Global()
                               .GetHistogram("alloy_visor_queue_wait_nanos",
-                                            {{"workflow", "queuewf"}})
+                                            Shard0("queuewf"))
                               .Snapshot();
   EXPECT_GE(queue_wait.count(), 3u);
 }
@@ -436,7 +513,7 @@ TEST(VisorServingTest, OverBudgetRejectsWithComputedRetryAfter) {
         ctx.SetResult("ok");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "budgetwf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.tunable", 1}}});
@@ -446,18 +523,18 @@ TEST(VisorServingTest, OverBudgetRejectsWithComputedRetryAfter) {
   options.max_concurrency = 1;
   options.queue_capacity = 4;
   options.queueing_budget_ms = 250;
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   // Seed the service-time EWMA with one ~1.5s run so the predictor has a
   // sample: predicted wait for the next queued arrival = 1 × 1.5s / 1.
   asbase::Json seed;
   seed.Set("sleep_ms", static_cast<int64_t>(1500));
-  ASSERT_TRUE(visor.Invoke("budgetwf", seed).ok());
+  ASSERT_TRUE(router.Invoke("budgetwf", seed).ok());
 
   // Saturate the single slot with a request we control.
   std::thread blocker([&] {
-    auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+    auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                      InvokeRequest("budgetwf"));
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->status, 200);
@@ -469,7 +546,7 @@ TEST(VisorServingTest, OverBudgetRejectsWithComputedRetryAfter) {
   // Default budget 250ms < predicted 1.5s: rejected, and Retry-After is
   // computed from the prediction (ceil(1.5s) = 2s), not the static
   // fallback of 1s.
-  auto rejected = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+  auto rejected = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                    InvokeRequest("budgetwf"));
   ASSERT_TRUE(rejected.ok());
   EXPECT_EQ(rejected->status, 429);
@@ -484,7 +561,7 @@ TEST(VisorServingTest, OverBudgetRejectsWithComputedRetryAfter) {
     auto request = InvokeRequest("budgetwf", params.Dump());
     request.headers["x-queue-budget-ms"] = "30000";
     auto response =
-        ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+        ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->status, 200);
   });
@@ -591,7 +668,7 @@ TEST(VisorServingTest, AdmissionRoundRobinPreventsCrossWorkflowStarvation) {
         ctx.SetResult("done");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   auto register_workflow = [&](const std::string& name) {
     WorkflowSpec spec;
     spec.name = name;
@@ -602,21 +679,20 @@ TEST(VisorServingTest, AdmissionRoundRobinPreventsCrossWorkflowStarvation) {
     options.max_concurrency = 1;
     options.queue_capacity = 8;
     options.queueing_budget_ms = 60'000;
-    visor.RegisterWorkflow(spec, options);
+    router.RegisterWorkflow(spec, options);
   };
   register_workflow("heavywf");
   register_workflow("lightwf");
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 8;
   serving.max_inflight = 1;  // one global slot: the workflows must share it
-  ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
+  ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 
   std::mutex order_mutex;
   std::vector<std::string> completion_order;
   std::vector<std::thread> clients;
   auto fire = [&](const std::string& name) {
     clients.emplace_back([&, name] {
-      auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+      auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                        InvokeRequest(name));
       ASSERT_TRUE(response.ok());
       ASSERT_EQ(response->status, 200) << response->body;
@@ -668,7 +744,7 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
         ctx.SetResult("done");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   auto register_workflow = [&](const std::string& name,
                                const std::string& function, double weight) {
     WorkflowSpec spec;
@@ -681,20 +757,19 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
     options.queue_capacity = 16;
     options.queueing_budget_ms = 60'000;
     options.weight = weight;
-    visor.RegisterWorkflow(spec, options);
+    router.RegisterWorkflow(spec, options);
   };
   register_workflow("wgate", "serving.weightgate", 1.0);
   register_workflow("a-prio", "serving.recordwf", 3.0);
   register_workflow("b-std", "serving.recordwf", 1.0);
   AsVisor::ServingOptions serving;
-  serving.worker_threads = 16;
   serving.max_inflight = 1;  // one global slot, granted strictly one by one
-  ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
+  ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
 
   // Occupy the single slot, then pile up 9 weight-3 and 3 weight-1 waiters
   // so every later grant is contested.
   std::thread gate_holder([&] {
-    auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+    auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                      InvokeRequest("wgate"));
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->status, 200) << response->body;
@@ -703,16 +778,16 @@ TEST(VisorServingTest, WeightedSharesGrantSlotsProportionally) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   asobs::Gauge& a_queued = asobs::Registry::Global().GetGauge(
-      "alloy_visor_queued", {{"workflow", "a-prio"}});
+      "alloy_visor_queued", Shard0("a-prio"));
   asobs::Gauge& b_queued = asobs::Registry::Global().GetGauge(
-      "alloy_visor_queued", {{"workflow", "b-std"}});
+      "alloy_visor_queued", Shard0("b-std"));
   std::vector<std::thread> clients;
   auto fire = [&](const std::string& name) {
     clients.emplace_back([&, name] {
       asbase::Json params;
       params.Set("who", name);
       auto response =
-          ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+          ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                            InvokeRequest(name, params.Dump()));
       ASSERT_TRUE(response.ok());
       ASSERT_EQ(response->status, 200) << response->body;
@@ -767,7 +842,7 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
         ctx.SetResult("done");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "tailwf";
   // Two stages so the cooperative deadline check after the first stage's
@@ -778,30 +853,30 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
   options.wfd = SmallWfd();
   options.pool_size = 1;
   options.timeout_ms = 50;
-  visor.RegisterWorkflow(spec, options);
+  router.RegisterWorkflow(spec, options);
 
   // Tail-based retention: only failures/timeouts (or >10s runs) keep their
   // span tree. The fast successes below must NOT be retained.
   AsVisor::ServingOptions serving;
   serving.trace_threshold_ms = 10'000;
-  ASSERT_TRUE(visor.StartWatchdog(0, serving).ok());
-  EXPECT_EQ(visor.trace_threshold_ms(), 10'000);
+  ASSERT_TRUE(router.StartWatchdog(0, serving).ok());
+  EXPECT_EQ(router.shard(0).trace_threshold_ms(), 10'000);
 
   asobs::Counter& retained = asobs::Registry::Global().GetCounter(
-      "alloy_visor_traces_retained_total");
+      "alloy_visor_traces_retained_total", {{"alloy_visor_shard", "0"}});
   const uint64_t retained0 = retained.value();
 
   // Three fast successes...
   asbase::Json fast;
   fast.Set("sleep_ms", static_cast<int64_t>(0));
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(visor.Invoke("tailwf", fast).ok());
+    ASSERT_TRUE(router.Invoke("tailwf", fast).ok());
   }
   // ...then a burst of three timeouts.
   asbase::Json slow;
   slow.Set("sleep_ms", static_cast<int64_t>(100));
   for (int i = 0; i < 3; ++i) {
-    auto result = visor.Invoke("tailwf", slow);
+    auto result = router.Invoke("tailwf", slow);
     ASSERT_FALSE(result.ok());
     ASSERT_EQ(result.status().code(), asbase::ErrorCode::kDeadlineExceeded);
   }
@@ -815,7 +890,7 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
   ashttp::HttpRequest request;
   request.method = "GET";
   request.target = "/debug/flight?workflow=tailwf";
-  auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response->status, 200);
   auto doc = asbase::Json::Parse(response->body);
@@ -840,7 +915,7 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
   // Phase attribution across the same records: exec owns this tail (the
   // timeouts burned their lives sleeping inside the orchestrator run).
   request.target = "/debug/latency?workflow=tailwf";
-  auto latency = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto latency = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(latency.ok());
   ASSERT_EQ(latency->status, 200);
   auto attribution = asbase::Json::Parse(latency->body);
@@ -851,33 +926,33 @@ TEST(VisorObservabilityTest, TimeoutBurstRetainsTailTracesAndFlightRecords) {
 }
 
 TEST(VisorObservabilityTest, HealthzAlwaysOkReadyzReflectsDrain) {
-  AsVisor visor;
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  AsVisorRouter router(OneShard());
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
   ashttp::HttpRequest request;
   request.method = "GET";
 
   request.target = "/healthz";
-  auto healthz = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto healthz = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(healthz.ok());
   EXPECT_EQ(healthz->status, 200);
   EXPECT_EQ(healthz->body, "ok");
 
   request.target = "/readyz";
-  auto ready = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto ready = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(ready.ok());
   EXPECT_EQ(ready->status, 200);
-  EXPECT_EQ(ready->body, "ready");
+  EXPECT_TRUE(asbase::Json::Parse(ready->body).value()["ready"].as_bool());
 
-  visor.BeginDrain();
-  EXPECT_TRUE(visor.draining());
-  auto drained = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  router.shard(0).BeginDrain();
+  EXPECT_TRUE(router.shard(0).draining());
+  auto drained = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(drained->status, 503);
-  EXPECT_EQ(drained->body, "draining");
+  EXPECT_FALSE(asbase::Json::Parse(drained->body).value()["ready"].as_bool());
 
   // Liveness is unaffected by the drain.
   request.target = "/healthz";
-  auto alive = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(), request);
+  auto alive = ashttp::HttpCall("127.0.0.1", router.watchdog_port(), request);
   ASSERT_TRUE(alive.ok());
   EXPECT_EQ(alive->status, 200);
 }
@@ -951,18 +1026,18 @@ TEST(VisorObservabilityTest, RejectionLeavesFlightRecord) {
         ctx.SetResult("released");
         return asbase::OkStatus();
       });
-  AsVisor visor;
+  AsVisorRouter router(OneShard());
   WorkflowSpec spec;
   spec.name = "rejwf";
   spec.stages.push_back(StageSpec{{FunctionSpec{"serving.obsblock", 1}}});
   AsVisor::WorkflowOptions options;
   options.wfd = SmallWfd();
   options.max_concurrency = 1;
-  visor.RegisterWorkflow(spec, options);
-  ASSERT_TRUE(visor.StartWatchdog(0).ok());
+  router.RegisterWorkflow(spec, options);
+  ASSERT_TRUE(router.StartWatchdog(0).ok());
 
   std::thread first([&] {
-    auto response = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+    auto response = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                      InvokeRequest("rejwf"));
     ASSERT_TRUE(response.ok());
     EXPECT_EQ(response->status, 200);
@@ -970,7 +1045,7 @@ TEST(VisorObservabilityTest, RejectionLeavesFlightRecord) {
   while (!started) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  auto rejected = ashttp::HttpCall("127.0.0.1", visor.watchdog_port(),
+  auto rejected = ashttp::HttpCall("127.0.0.1", router.watchdog_port(),
                                    InvokeRequest("rejwf"));
   ASSERT_TRUE(rejected.ok());
   ASSERT_EQ(rejected->status, 429);
@@ -980,7 +1055,7 @@ TEST(VisorObservabilityTest, RejectionLeavesFlightRecord) {
   // The 429 deposited a "rejected" record — a rejection storm must be
   // reconstructable from the black box like any other incident.
   const std::vector<asobs::FlightRecord> records =
-      visor.flight().Snapshot("rejwf");
+      router.shard(0).flight().Snapshot("rejwf");
   bool found = false;
   for (const asobs::FlightRecord& record : records) {
     if (record.outcome == asobs::FlightOutcome::kRejected) {
