@@ -5,7 +5,10 @@
 # warmer, the watchdog pipeline, the flight-ring seqlock, and the
 # poller/timer/backpressure paths are the most thread-heavy code in the
 # tree, so they get the race detector even when the full TSan suite would
-# be too slow.
+# be too slow. The serving and core tests then run once more under ASan:
+# Invoke's flight phases hand the leased WFD, its lease and the WFD's raw
+# trace pointer from one function to the next, which is where a lifetime
+# bug would show.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -46,6 +49,13 @@ ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
 # (the volume under its own lock) run under the race detector too.
 ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
 ctest --test-dir "${BUILD}-tsan" -L fatfs --output-on-failure
+
+echo "==> serving + core tests under AddressSanitizer (${BUILD}-asan)"
+cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DALLOY_SANITIZE=address >/dev/null
+cmake --build "${BUILD}-asan" -j "$(nproc)"
+ctest --test-dir "${BUILD}-asan" -L serving --output-on-failure
+ctest --test-dir "${BUILD}-asan" -L core --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/rebalance.h"
@@ -20,31 +21,6 @@ constexpr double kServiceAlpha = 0.2;
 
 // Flight-ring capacity when ALLOY_FLIGHT_RING is unset.
 constexpr size_t kDefaultFlightRing = 1024;
-
-// Non-negative integer env override, `fallback` when unset or unparseable.
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) {
-    return fallback;
-  }
-  return static_cast<int64_t>(value);
-}
-
-// ALLOY_SNAPSHOT gates snapshot-fork clone boot (DESIGN.md §14). Default
-// on; "0"/"off"/"false" disables capture (and therefore cloning).
-bool SnapshotEnabledFromEnv() {
-  const char* env = std::getenv("ALLOY_SNAPSHOT");
-  if (env == nullptr || *env == '\0') {
-    return true;
-  }
-  const std::string value(env);
-  return value != "0" && value != "off" && value != "false";
-}
 
 // Burn rates export through int64 gauges; scale to milli-units (burn 1.0 →
 // gauge 1000) so fractional burns stay visible. Documented in docs/metrics.md.
@@ -70,6 +46,29 @@ asbase::Json SummarizeTrace(const asobs::Trace& trace) {
   return summary;
 }
 
+// Integer option `key` of a JSON registration: absent leaves *out alone;
+// outside [min, max] is InvalidArgument, like every other malformed field.
+template <typename T>
+asbase::Status IntOption(const asbase::Json& opts, const char* key,
+                         int64_t min, int64_t max, T* out) {
+  const asbase::Json& field = opts[key];
+  if (!field.is_number()) {
+    return asbase::OkStatus();
+  }
+  const int64_t value = field.as_int();
+  if (value < min || value > max) {
+    return asbase::InvalidArgument(
+        std::string(key) + " must be in [" + std::to_string(min) + ", " +
+        std::to_string(max) + "], got " + std::to_string(value));
+  }
+  *out = static_cast<T>(value);
+  return asbase::OkStatus();
+}
+
+// Upper bound for heap_mb / disk_mb (1 TiB): keeps the byte and block
+// conversions far from overflow.
+constexpr int64_t kMaxOptionMb = int64_t{1} << 20;
+
 }  // namespace
 
 AsVisor::AsVisor(ShardIdentity shard)
@@ -77,10 +76,10 @@ AsVisor::AsVisor(ShardIdentity shard)
       inflight_gauge_(&asobs::Registry::Global().GetGauge(
           "alloy_visor_inflight", ShardLabels())) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
-      EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
+      asbase::EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
   trace_ring_ = static_cast<size_t>(
-      EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
-  trace_threshold_ms_ = EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
+      asbase::EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
+  trace_threshold_ms_ = asbase::EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
   const char* blackbox_dir = std::getenv("ALLOY_BLACKBOX_DIR");
   blackbox_dir_ = blackbox_dir != nullptr && *blackbox_dir != '\0'
                       ? blackbox_dir
@@ -126,55 +125,55 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   if (!(options.weight >= 1e-6)) {  // also catches NaN
     options.weight = 1.0;
   }
+  asobs::Registry& registry = asobs::Registry::Global();
+  const asobs::Labels labels = WorkflowLabels(spec.name);
+  auto reg = std::make_shared<Registration>();
+  reg->spec = spec;
+  reg->invocations =
+      &registry.GetCounter("alloy_visor_invocations_total", labels);
+  reg->failures =
+      &registry.GetCounter("alloy_visor_invocation_failures_total", labels);
+  reg->timeouts = &registry.GetCounter("alloy_visor_timeouts_total", labels);
+  reg->invoke_hist = &registry.GetHistogram("alloy_visor_invoke_nanos", labels);
+  reg->snapshot_creates =
+      &registry.GetCounter("alloy_visor_snapshot_creates_total", labels);
+  reg->snapshot_invalidations = &registry.GetCounter(
+      "alloy_visor_snapshot_invalidations_total", labels);
+  reg->flight_id = flight_->InternWorkflow(spec.name);
+  reg->snapshot_max_bytes =
+      static_cast<size_t>(asbase::EnvInt64("ALLOY_SNAPSHOT_MAX_BYTES", 0));
+  BootPlan& boot = reg->boot;
+  boot.wfd = options.wfd;
+  boot.stage_workers =
+      std::max<size_t>(Orchestrator::MaxStageFanout(spec), 1);
+  boot.snapshot =
+      std::make_shared<SnapshotCell>(asbase::EnvBool("ALLOY_SNAPSHOT", true));
+  boot.clones =
+      &registry.GetCounter("alloy_visor_snapshot_clones_total", labels);
+  boot.fallbacks = &registry.GetCounter(
+      "alloy_visor_snapshot_fallback_boots_total", labels);
+  boot.clone_hist =
+      &registry.GetHistogram("alloy_visor_snapshot_clone_nanos", labels);
+
   Entry entry;
-  entry.spec = spec;
-  entry.warmup = std::make_shared<WarmupProfile>();
-  entry.snapshot = std::make_shared<SnapshotCell>();
-  entry.snapshot_enabled = SnapshotEnabledFromEnv();
-  entry.snapshot_max_bytes =
-      static_cast<size_t>(EnvInt64("ALLOY_SNAPSHOT_MAX_BYTES", 0));
-  {
-    asobs::Registry& registry = asobs::Registry::Global();
-    const asobs::Labels labels = WorkflowLabels(spec.name);
-    entry.invocations =
-        &registry.GetCounter("alloy_visor_invocations_total", labels);
-    entry.failures =
-        &registry.GetCounter("alloy_visor_invocation_failures_total", labels);
-    entry.timeouts = &registry.GetCounter("alloy_visor_timeouts_total", labels);
-    entry.rejections =
-        &registry.GetCounter("alloy_visor_rejections_total", labels);
-    entry.queued_gauge = &registry.GetGauge("alloy_visor_queued", labels);
-    entry.invoke_hist =
-        &registry.GetHistogram("alloy_visor_invoke_nanos", labels);
-    entry.queue_wait_hist =
-        &registry.GetHistogram("alloy_visor_queue_wait_nanos", labels);
-    entry.flight_id = flight_->InternWorkflow(spec.name);
-    if (options.slo_objective > 0) {
-      asobs::SloOptions slo_options;
-      slo_options.objective = std::min(options.slo_objective, 1.0);
-      slo_options.latency_objective_ms = options.slo_latency_ms;
-      entry.slo = std::make_shared<asobs::SloTracker>(slo_options);
-      asobs::Labels fast_labels = labels;
-      fast_labels.push_back({"window", "fast"});
-      asobs::Labels slow_labels = labels;
-      slow_labels.push_back({"window", "slow"});
-      entry.burn_fast = &registry.GetGauge("alloy_slo_burn_rate", fast_labels);
-      entry.burn_slow = &registry.GetGauge("alloy_slo_burn_rate", slow_labels);
-    }
-    entry.snapshot_creates =
-        &registry.GetCounter("alloy_visor_snapshot_creates_total", labels);
-    entry.snapshot_clones =
-        &registry.GetCounter("alloy_visor_snapshot_clones_total", labels);
-    entry.snapshot_invalidations = &registry.GetCounter(
-        "alloy_visor_snapshot_invalidations_total", labels);
-    entry.snapshot_fallbacks = &registry.GetCounter(
-        "alloy_visor_snapshot_fallback_boots_total", labels);
-    entry.snapshot_clone_hist =
-        &registry.GetHistogram("alloy_visor_snapshot_clone_nanos", labels);
+  entry.rejections =
+      &registry.GetCounter("alloy_visor_rejections_total", labels);
+  entry.queued_gauge = &registry.GetGauge("alloy_visor_queued", labels);
+  entry.queue_wait_hist =
+      &registry.GetHistogram("alloy_visor_queue_wait_nanos", labels);
+  if (options.slo_objective > 0) {
+    asobs::SloOptions slo_options;
+    slo_options.objective = std::min(options.slo_objective, 1.0);
+    slo_options.latency_objective_ms = options.slo_latency_ms;
+    entry.slo = std::make_shared<asobs::SloTracker>(slo_options);
+    asobs::Labels fast_labels = labels;
+    fast_labels.push_back({"window", "fast"});
+    asobs::Labels slow_labels = labels;
+    slow_labels.push_back({"window", "slow"});
+    entry.burn_fast = &registry.GetGauge("alloy_slo_burn_rate", fast_labels);
+    entry.burn_slow = &registry.GetGauge("alloy_slo_burn_rate", slow_labels);
   }
-  // The fan-out is known from the spec; the module set is learned from the
-  // first completed invocation (see Invoke).
-  entry.warmup->stage_workers = Orchestrator::MaxStageFanout(spec);
+
   WfdPoolOptions pool_options;
   pool_options.capacity = options.pool_size;
   pool_options.min_warm = std::min(options.min_warm, options.pool_size);
@@ -183,74 +182,25 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   pool_options.log_shard = shard_.index;
   if (pool_options.capacity > 0 &&
       (pool_options.min_warm > 0 || pool_options.idle_ttl_ms > 0)) {
-    // The warmer cold-starts WFDs itself; those boots carry no invocation
-    // trace (there is none yet) and count as prewarms, not misses. Captures
-    // the WarmupProfile (not `this`): the warmer may outlive the
-    // registration, and the profile has its own lock.
-    WfdOptions wfd_options = options.wfd;
-    wfd_options.trace = nullptr;
-    wfd_options.trace_parent = 0;
-    pool_options.factory =
-        [wfd_options, warmup = entry.warmup, snapcell = entry.snapshot,
-         clones = entry.snapshot_clones, fallbacks = entry.snapshot_fallbacks,
-         clone_hist = entry.snapshot_clone_hist]()
-        -> asbase::Result<std::unique_ptr<Wfd>> {
-      // Primary path (DESIGN.md §14): clone-boot from the snapshot template
-      // when one exists — the pre-warmed WFD arrives hot for O(µs) instead
-      // of a full boot + module replay. Counter pointers are registry-owned
-      // (immortal), safe to hold in a closure that outlives the Entry.
-      if (std::shared_ptr<const WfdSnapshot> snap = snapcell->Get()) {
-        auto clone_or = Wfd::CloneFromSnapshot(wfd_options, std::move(snap));
-        if (clone_or.ok()) {
-          clones->Add(1);
-          clone_hist->Record((*clone_or)->creation_nanos());
-          return clone_or;
-        }
-        AS_LOG(kWarn) << "snapshot clone-boot failed ("
-                      << clone_or.status().ToString()
-                      << "); falling back to full boot";
-      }
-      fallbacks->Add(1);
-      AS_ASSIGN_OR_RETURN(std::unique_ptr<Wfd> wfd,
-                          Wfd::Create(wfd_options));
-      std::vector<ModuleKind> modules;
-      size_t workers = 0;
-      {
-        std::lock_guard<std::mutex> lock(warmup->mutex);
-        modules = warmup->modules;
-        workers = warmup->stage_workers;
-      }
-      // Replay what real runs touched so the pre-warmed WFD is hot, not
-      // just booted. Best-effort: a module that fails to load here will be
-      // retried (and properly surfaced) by the invocation that needs it.
-      for (ModuleKind kind : modules) {
-        asbase::Status loaded = wfd->libos().EnsureLoaded(kind);
-        if (!loaded.ok()) {
-          AS_LOG(kWarn) << "pre-warm module load failed ("
-                        << loaded.ToString() << ")";
-        }
-      }
-      if (workers > 0) {
-        wfd->EnsureStageWorkers(workers);
-      }
-      return wfd;
-    };
+    // The warmer boots WFDs through the same path as an invoke miss; those
+    // boots carry no invocation trace (there is none yet) and count as
+    // prewarms, not misses. Captures a copy of the plan (not `this`): the
+    // warmer may outlive the registration.
+    pool_options.factory = [plan = boot] { return BootWfd(plan, nullptr, 0); };
   }
-  entry.pool = std::make_shared<WfdPool>(spec.name, std::move(pool_options));
-  entry.options = std::move(options);
-  asobs::Counter* invalidations = entry.snapshot_invalidations;
-  std::shared_ptr<WfdPool> old_pool;
-  std::shared_ptr<SnapshotCell> old_cell;
+  reg->pool = std::make_shared<WfdPool>(spec.name, std::move(pool_options));
+  reg->options = std::move(options);
+  entry.reg = std::move(reg);
+  std::shared_ptr<const Registration> old;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Overwrite drops the previous entry — including its pool, whose warm
     // WFDs were built from the old WfdOptions and must not serve the new
-    // registration. In-flight invocations keep the old pool alive via
-    // shared_ptr until they finish.
+    // registration. In-flight invocations keep the old registration (and
+    // its pool) alive via shared_ptr until they finish.
     auto it = workflows_.find(spec.name);
     if (it != workflows_.end()) {
-      old_pool = it->second.pool;
-      old_cell = it->second.snapshot;
+      old = it->second.reg;
     }
     workflows_[spec.name] = std::move(entry);
     // A fresh registration supersedes any migration tombstone: requests for
@@ -260,57 +210,33 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   // Requests queued against the old registration re-evaluate (their ticket
   // vanished with the old Entry).
   admission_cv_.notify_all();
-  // Re-registration invalidates the old snapshot template: its images were
-  // built from the old code/options and must not clone-boot the new
-  // registration. The old cell may still be referenced by the orphaned
-  // pool's factory; dropping the snapshot makes that factory fall back to a
-  // full boot until the pool shuts down.
-  if (old_cell != nullptr && old_cell->Invalidate()) {
-    invalidations->Add(1);
-  }
-  if (old_pool != nullptr) {
+  if (old != nullptr) {
+    // Re-registration invalidates the old snapshot template: its images
+    // were built from the old code/options and must not clone-boot the new
+    // registration. The old cell may still be referenced by the orphaned
+    // pool's factory; dropping the snapshot makes that factory fall back to
+    // a full boot until the pool shuts down.
+    if (old->boot.snapshot->Invalidate()) {
+      old->snapshot_invalidations->Add(1);
+    }
     // Stop the orphan's warmer now (it joins a thread — never under mutex_)
     // so it does not keep booting WFDs nobody will lease.
-    old_pool->Shutdown();
+    old->pool->Shutdown();
   }
 }
 
 bool AsVisor::UnregisterWorkflow(const std::string& workflow_name) {
-  std::shared_ptr<WfdPool> old_pool;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return false;
-    }
-    old_pool = it->second.pool;
-    workflows_.erase(it);
+  std::shared_ptr<WfdPool> old_pool =
+      RemoveEntry(workflow_name, /*tombstone=*/false);
+  if (old_pool == nullptr) {
+    return false;
   }
-  // Queued admissions for this workflow wake, find their ticket gone, and
-  // unwind with NotFound.
-  admission_cv_.notify_all();
-  if (old_pool != nullptr) {
-    old_pool->Shutdown();
-  }
+  old_pool->Shutdown();
   return true;
 }
 
-// ---------------------------------------------- live migration (DESIGN §12)
-
-asbase::Result<AsVisor::WorkflowRegistration> AsVisor::GetRegistration(
-    const std::string& workflow_name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = workflows_.find(workflow_name);
-  if (it == workflows_.end()) {
-    return asbase::NotFound("no workflow named '" + workflow_name + "'");
-  }
-  WorkflowRegistration registration;
-  registration.spec = it->second.spec;
-  registration.options = it->second.options;
-  return registration;
-}
-
-std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
+std::shared_ptr<WfdPool> AsVisor::RemoveEntry(const std::string& workflow_name,
+                                              bool tombstone) {
   std::shared_ptr<WfdPool> old_pool;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -318,42 +244,61 @@ std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
     if (it == workflows_.end()) {
       return nullptr;
     }
-    old_pool = it->second.pool;
+    old_pool = it->second.reg->pool;
     workflows_.erase(it);
-    const int64_t now = asbase::MonoNanos();
-    migrated_out_[workflow_name] = now;
-    // Lazy prune: the map only grows by one entry per migration, so sweeping
-    // it here keeps it bounded without a timer.
-    for (auto tomb = migrated_out_.begin(); tomb != migrated_out_.end();) {
-      if (now - tomb->second > kMigrationTombstoneNanos) {
-        tomb = migrated_out_.erase(tomb);
-      } else {
-        ++tomb;
+    if (tombstone) {
+      const int64_t now = asbase::MonoNanos();
+      migrated_out_[workflow_name] = now;
+      // Lazy prune: the map only grows by one entry per migration, so
+      // sweeping it here keeps it bounded without a timer.
+      for (auto tomb = migrated_out_.begin(); tomb != migrated_out_.end();) {
+        if (now - tomb->second > kMigrationTombstoneNanos) {
+          tomb = migrated_out_.erase(tomb);
+        } else {
+          ++tomb;
+        }
       }
     }
   }
-  // Queued waiters wake, find the tombstone, and unwind as *migrated* —
+  // Queued admissions for this workflow wake and find their ticket gone:
+  // they unwind with NotFound, or — past a tombstone — as *migrated*, and
   // the router re-dispatches them to the new owner (queue handoff).
   admission_cv_.notify_all();
   return old_pool;
 }
 
+// ---------------------------------------------- live migration (DESIGN §12)
+
+asbase::Result<std::shared_ptr<const AsVisor::Registration>> AsVisor::Lookup(
+    const std::string& workflow_name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = workflows_.find(workflow_name);
+  if (it == workflows_.end()) {
+    return asbase::NotFound("no workflow named '" + workflow_name + "'");
+  }
+  return it->second.reg;
+}
+
+asbase::Result<AsVisor::WorkflowRegistration> AsVisor::GetRegistration(
+    const std::string& workflow_name) const {
+  AS_ASSIGN_OR_RETURN(std::shared_ptr<const Registration> reg,
+                      Lookup(workflow_name));
+  return WorkflowRegistration{reg->spec, reg->options};
+}
+
+std::shared_ptr<WfdPool> AsVisor::MigrateOut(const std::string& workflow_name) {
+  return RemoveEntry(workflow_name, /*tombstone=*/true);
+}
+
 void AsVisor::AdoptWarmWfds(const std::string& workflow_name,
                             std::vector<std::unique_ptr<Wfd>> wfds) {
-  std::shared_ptr<WfdPool> pool;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it != workflows_.end()) {
-      pool = it->second.pool;
-    }
-  }
-  if (pool == nullptr) {
+  auto reg = Lookup(workflow_name);
+  if (!reg.ok()) {
     // Raced with an unregister: the WFDs die here (vector destructor).
     return;
   }
   for (std::unique_ptr<Wfd>& wfd : wfds) {
-    pool->AdoptWarm(std::move(wfd));
+    (*reg)->pool->AdoptWarm(std::move(wfd));
   }
 }
 
@@ -369,16 +314,18 @@ AsVisor::ShardLoad AsVisor::LoadSnapshot() const {
     row.inflight = entry.inflight;
     row.queued = entry.waiters.size();
     row.service_ewma_nanos = entry.service_ewma_nanos;
-    row.pinned = entry.options.pin_shard >= 0;
+    row.pinned = entry.reg->options.pin_shard >= 0;
     load.queued += row.queued;
     load.workflows.push_back(std::move(row));
   }
   return load;
 }
 
-asbase::Status AsVisor::RegisterWorkflowFromJson(const asbase::Json& config) {
-  AS_ASSIGN_OR_RETURN(WorkflowSpec spec, WorkflowSpec::FromJson(config));
-  WorkflowOptions options;
+asbase::Result<AsVisor::WorkflowRegistration> AsVisor::ParseWorkflowJson(
+    const asbase::Json& config) {
+  WorkflowRegistration registration;
+  AS_ASSIGN_OR_RETURN(registration.spec, WorkflowSpec::FromJson(config));
+  WorkflowOptions& options = registration.options;
   const asbase::Json& opts = config["options"];
   if (opts.is_object()) {
     options.wfd.use_ramfs = opts["ramfs"].as_bool(false);
@@ -386,72 +333,37 @@ asbase::Status AsVisor::RegisterWorkflowFromJson(const asbase::Json& config) {
     options.wfd.reference_passing = opts["reference_passing"].as_bool(true);
     options.wfd.inter_function_isolation =
         opts["inter_function_isolation"].as_bool(false);
-    if (opts["heap_mb"].is_number()) {
-      options.wfd.heap_bytes =
-          static_cast<size_t>(opts["heap_mb"].as_int()) << 20;
-    }
-    if (opts["disk_mb"].is_number()) {
-      options.wfd.disk_blocks =
-          static_cast<uint64_t>(opts["disk_mb"].as_int()) * 2048;
-    }
-    if (opts["pool_size"].is_number()) {
-      options.pool_size = static_cast<size_t>(opts["pool_size"].as_int());
-    }
-    if (opts["min_warm"].is_number()) {
-      const int64_t value = opts["min_warm"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("min_warm must be >= 0");
-      }
-      options.min_warm = static_cast<size_t>(value);
-    }
-    if (opts["idle_ttl_ms"].is_number()) {
-      const int64_t value = opts["idle_ttl_ms"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("idle_ttl_ms must be >= 0");
-      }
-      options.idle_ttl_ms = value;
-    }
-    if (opts["queue_capacity"].is_number()) {
-      const int64_t value = opts["queue_capacity"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("queue_capacity must be >= 0");
-      }
-      options.queue_capacity = static_cast<size_t>(value);
-    }
-    if (opts["queueing_budget_ms"].is_number()) {
-      const int64_t value = opts["queueing_budget_ms"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("queueing_budget_ms must be >= 0");
-      }
-      options.queueing_budget_ms = value;
-    }
-    if (opts["max_concurrency"].is_number()) {
-      const int64_t value = opts["max_concurrency"].as_int();
-      if (value < 1) {
-        return asbase::InvalidArgument("max_concurrency must be >= 1");
-      }
-      options.max_concurrency = static_cast<int>(value);
-    }
-    if (opts["timeout_ms"].is_number()) {
-      const int64_t value = opts["timeout_ms"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("timeout_ms must be >= 0");
-      }
-      options.timeout_ms = value;
-    }
+    // Sizes round-trip through MiB (the defaults are whole MiB).
+    int64_t heap_mb = static_cast<int64_t>(options.wfd.heap_bytes >> 20);
+    int64_t disk_mb = static_cast<int64_t>(options.wfd.disk_blocks / 2048);
+    AS_RETURN_IF_ERROR(IntOption(opts, "heap_mb", 0, kMaxOptionMb, &heap_mb));
+    AS_RETURN_IF_ERROR(IntOption(opts, "disk_mb", 0, kMaxOptionMb, &disk_mb));
+    options.wfd.heap_bytes = static_cast<size_t>(heap_mb) << 20;
+    options.wfd.disk_blocks = static_cast<uint64_t>(disk_mb) * 2048;
+    AS_RETURN_IF_ERROR(IntOption(opts, "pool_size", 0, INT64_MAX,
+                                 &options.pool_size));
+    AS_RETURN_IF_ERROR(IntOption(opts, "min_warm", 0, INT64_MAX,
+                                 &options.min_warm));
+    AS_RETURN_IF_ERROR(IntOption(opts, "idle_ttl_ms", 0, INT64_MAX,
+                                 &options.idle_ttl_ms));
+    AS_RETURN_IF_ERROR(IntOption(opts, "queue_capacity", 0, INT64_MAX,
+                                 &options.queue_capacity));
+    AS_RETURN_IF_ERROR(IntOption(opts, "queueing_budget_ms", 0, INT64_MAX,
+                                 &options.queueing_budget_ms));
+    AS_RETURN_IF_ERROR(IntOption(opts, "max_concurrency", 1, INT32_MAX,
+                                 &options.max_concurrency));
+    AS_RETURN_IF_ERROR(IntOption(opts, "timeout_ms", 0, INT64_MAX,
+                                 &options.timeout_ms));
+    AS_RETURN_IF_ERROR(IntOption(opts, "pin_shard", -1, INT32_MAX,
+                                 &options.pin_shard));
+    AS_RETURN_IF_ERROR(IntOption(opts, "slo_latency_ms", 0, INT64_MAX,
+                                 &options.slo_latency_ms));
     if (opts["weight"].is_number()) {
       const double value = opts["weight"].as_double();
       if (!(value > 0)) {
         return asbase::InvalidArgument("weight must be > 0");
       }
       options.weight = value;
-    }
-    if (opts["pin_shard"].is_number()) {
-      const int64_t value = opts["pin_shard"].as_int();
-      if (value < -1) {
-        return asbase::InvalidArgument("pin_shard must be >= -1");
-      }
-      options.pin_shard = static_cast<int>(value);
     }
     if (opts["slo_objective"].is_number()) {
       const double value = opts["slo_objective"].as_double();
@@ -460,16 +372,15 @@ asbase::Status AsVisor::RegisterWorkflowFromJson(const asbase::Json& config) {
       }
       options.slo_objective = value;
     }
-    if (opts["slo_latency_ms"].is_number()) {
-      const int64_t value = opts["slo_latency_ms"].as_int();
-      if (value < 0) {
-        return asbase::InvalidArgument("slo_latency_ms must be >= 0");
-      }
-      options.slo_latency_ms = value;
-    }
   }
-  options.wfd.name = spec.name;
-  RegisterWorkflow(spec, std::move(options));
+  options.wfd.name = registration.spec.name;
+  return registration;
+}
+
+asbase::Status AsVisor::RegisterWorkflowFromJson(const asbase::Json& config) {
+  AS_ASSIGN_OR_RETURN(WorkflowRegistration registration,
+                      ParseWorkflowJson(config));
+  RegisterWorkflow(registration.spec, std::move(registration.options));
   return asbase::OkStatus();
 }
 
@@ -478,308 +389,282 @@ asbase::Result<InvokeResult> AsVisor::Invoke(const std::string& workflow_name,
   return Invoke(workflow_name, params, InvokeOptions{});
 }
 
+// One invocation in flight: the state the phases hand each other. Members
+// die in reverse order: the lease ends (if nothing parked the WFD), then
+// the WFD, which holds a raw pointer to the trace, dies before the trace.
+struct AsVisor::Invocation {
+  std::shared_ptr<const Registration> reg;
+  std::shared_ptr<asobs::Trace> trace;
+  asobs::Span root;
+  // Stamped as phases complete and deposited on every exit path —
+  // including failures, which is where a black box matters most.
+  asobs::FlightRecord record;
+  int64_t deadline_nanos = 0;
+  int64_t loads_before = 0;
+  InvokeResult result;
+  std::unique_ptr<Wfd> wfd;
+  // The lease counts toward the pool's warm target until it ends: Park
+  // ends it (and clears this) on the success path; every path that
+  // destroys the WFD instead ends it here.
+  bool lease_open = false;
+
+  ~Invocation() {
+    if (lease_open) {
+      reg->pool->AbandonLease();
+    }
+  }
+};
+
 asbase::Result<InvokeResult> AsVisor::Invoke(
     const std::string& workflow_name, const asbase::Json& params,
     const InvokeOptions& invoke_options) {
-  WorkflowSpec spec;
-  WfdOptions wfd_options;
-  std::shared_ptr<WfdPool> pool;
-  int64_t timeout_ms = 0;
-  asobs::Counter* invocations = nullptr;
-  asobs::Counter* failures = nullptr;
-  asobs::Counter* timeouts = nullptr;
-  asobs::LatencyHistogram* invoke_hist = nullptr;
-  uint32_t flight_id = 0;
-  std::shared_ptr<SnapshotCell> snapcell;
-  bool snapshot_enabled = true;
-  size_t snapshot_max_bytes = 0;
-  asobs::Counter* snapshot_creates = nullptr;
-  asobs::Counter* snapshot_clones = nullptr;
-  asobs::Counter* snapshot_invalidations = nullptr;
-  asobs::Counter* snapshot_fallbacks = nullptr;
-  asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
-    }
-    spec = it->second.spec;
-    wfd_options = it->second.options.wfd;
-    pool = it->second.pool;
-    timeout_ms = it->second.options.timeout_ms;
-    // Registry series cached at registration (see Entry): the hot path must
-    // not take the process-global registry mutex, which every shard shares.
-    invocations = it->second.invocations;
-    failures = it->second.failures;
-    timeouts = it->second.timeouts;
-    invoke_hist = it->second.invoke_hist;
-    flight_id = it->second.flight_id;
-    snapcell = it->second.snapshot;
-    snapshot_enabled = it->second.snapshot_enabled;
-    snapshot_max_bytes = it->second.snapshot_max_bytes;
-    snapshot_creates = it->second.snapshot_creates;
-    snapshot_clones = it->second.snapshot_clones;
-    snapshot_invalidations = it->second.snapshot_invalidations;
-    snapshot_fallbacks = it->second.snapshot_fallbacks;
-    snapshot_clone_hist = it->second.snapshot_clone_hist;
-  }
-
   // Everything logged while this invocation runs on this thread carries its
-  // shard + workflow.
+  // shard + workflow — WFD teardown included, so it outlives `inv`.
   asbase::ScopedLogContext log_context(shard_.index, workflow_name);
+  Invocation inv;
+  AS_ASSIGN_OR_RETURN(inv.reg, Lookup(workflow_name));
 
   const int64_t received_at = asbase::MonoNanos();
-  const int64_t deadline_nanos =
-      timeout_ms > 0 ? received_at + timeout_ms * 1'000'000 : 0;
-  InvokeResult result;
-
-  invocations->Add(1);
+  const int64_t timeout_ms = inv.reg->options.timeout_ms;
+  inv.deadline_nanos = timeout_ms > 0 ? received_at + timeout_ms * 1'000'000
+                                      : 0;
+  inv.reg->invocations->Add(1);
 
   // The trace outlives the WFD (which holds a raw pointer to it) and may
   // then be retained (tail-based, see AccountOutcome) for /trace.
-  auto trace = std::make_shared<asobs::Trace>(workflow_name);
-  asobs::Span root = trace->StartSpan("invoke", "visor");
-  root.SetArg("workflow", workflow_name);
+  inv.trace = std::make_shared<asobs::Trace>(workflow_name);
+  inv.root = inv.trace->StartSpan("invoke", "visor");
+  inv.root.SetArg("workflow", workflow_name);
   if (invoke_options.queue_wait_nanos > 0) {
     // The admission wait happened before this trace existed; backfill it as
     // a completed span ending where the invoke span starts.
-    trace->RecordSpan("queue_wait", "visor", root.id(),
-                      received_at - invoke_options.queue_wait_nanos,
-                      invoke_options.queue_wait_nanos);
+    inv.trace->RecordSpan("queue_wait", "visor", inv.root.id(),
+                          received_at - invoke_options.queue_wait_nanos,
+                          invoke_options.queue_wait_nanos);
   }
+  inv.record.shard = shard_.index;
+  inv.record.start_nanos = received_at;
+  inv.record.queue_wait_nanos = invoke_options.queue_wait_nanos;
 
-  // The invocation's flight record, stamped as phases complete and
-  // deposited on every exit path — including failures, which is where a
-  // black box matters most.
-  asobs::FlightRecord flight;
-  flight.shard = shard_.index;
-  flight.start_nanos = received_at;
-  flight.queue_wait_nanos = invoke_options.queue_wait_nanos;
+  if (asbase::Status leased = LeasePhase(inv); !leased.ok()) {
+    return FailInvocation(inv, std::move(leased));
+  }
+  if (asbase::Status ran = ExecPhase(inv, params); !ran.ok()) {
+    return FailInvocation(inv, std::move(ran));
+  }
+  ReclaimPhase(inv);
+  return FinishPhase(inv);
+}
 
-  auto fail = [&](asbase::Status status) {
-    failures->Add(1);
-    asobs::FlightOutcome outcome = asobs::FlightOutcome::kError;
-    if (status.code() == asbase::ErrorCode::kDeadlineExceeded) {
-      timeouts->Add(1);
-      outcome = asobs::FlightOutcome::kTimeout;
-    }
-    // Close the span tree so the retained trace is complete.
-    root.SetArg("outcome", asobs::FlightOutcomeName(outcome));
-    root.End();
-    flight.outcome = outcome;
-    flight.end_nanos = asbase::MonoNanos();
-    flight.total_nanos = flight.end_nanos - received_at;
-    EmitFlight(flight_id, flight);
-    AccountOutcome(workflow_name, trace, outcome, flight.total_nanos);
-    return status;
+asbase::Result<std::unique_ptr<Wfd>> AsVisor::BootWfd(const BootPlan& plan,
+                                                      asobs::Trace* trace,
+                                                      uint32_t trace_parent) {
+  WfdOptions options = plan.wfd;
+  options.trace = trace;
+  options.trace_parent = trace_parent;
+  auto span = [&](const char* name) {
+    return trace != nullptr ? trace->StartSpan(name, "visor", trace_parent)
+                            : asobs::Span();
   };
+  // Primary path (DESIGN.md §14): clone-boot from the snapshot template —
+  // O(µs) where a full boot is ~ms. Falls through to a full boot on any
+  // clone failure (geometry drift, mmap failure) or when no template has
+  // been captured yet.
+  if (std::shared_ptr<const WfdSnapshot> snapshot = plan.snapshot->Get()) {
+    asobs::Span clone_span = span("wfd_clone");
+    auto clone_or = Wfd::CloneFromSnapshot(options, std::move(snapshot));
+    clone_span.End();
+    if (clone_or.ok()) {
+      plan.clones->Add(1);
+      plan.clone_hist->Record((*clone_or)->creation_nanos());
+      return clone_or;
+    }
+    AS_LOG(kWarn) << "snapshot clone-boot failed ("
+                  << clone_or.status().ToString()
+                  << "); falling back to full boot";
+  }
+  asobs::Span create_span = span("wfd_create");
+  AS_ASSIGN_OR_RETURN(std::unique_ptr<Wfd> wfd,
+                      Wfd::Create(std::move(options)));
+  wfd->EnsureStageWorkers(plan.stage_workers);
+  plan.fallbacks->Add(1);
+  return wfd;
+}
 
-  // Step 1 (Fig 4): lease a warm WFD or instantiate one for this
-  // invocation. On a warm hit cold start is skipped entirely; module loads
-  // are accounted as a delta so only *new* loads count against this run.
+asbase::Status AsVisor::LeasePhase(Invocation& inv) {
+  // Step 1 (Fig 4): lease a warm WFD or boot one for this invocation. On a
+  // warm hit cold start is skipped entirely; module loads are accounted as
+  // a delta so only *new* loads count against this run.
+  WfdPool& pool = *inv.reg->pool;
   const int64_t lease_start = asbase::MonoNanos();
-  std::unique_ptr<Wfd> wfd = pool->TryAcquireWarm();
-  // The lease counts toward the pool's warm target until it ends: Park ends
-  // it on the success path, this guard covers every path that destroys the
-  // WFD instead (create/run/reset failure, pooling disabled).
-  struct LeaseEnd {
-    WfdPool* pool;
-    bool armed = true;
-    ~LeaseEnd() {
-      if (armed) {
-        pool->AbandonLease();
-      }
-    }
-  } lease_end{pool.get()};
-  result.warm_start = wfd != nullptr;
-  flight.warm_start = result.warm_start;
-  int64_t loads_before = 0;
-  if (result.warm_start) {
-    wfd->SetTrace(trace.get(), root.id());
-    loads_before = wfd->libos().TotalLoadNanos();
-    root.SetArg("start", "warm");
+  inv.wfd = pool.TryAcquireWarm();
+  inv.lease_open = true;
+  inv.result.warm_start = inv.wfd != nullptr;
+  inv.record.warm_start = inv.result.warm_start;
+  if (inv.result.warm_start) {
+    inv.wfd->SetTrace(inv.trace.get(), inv.root.id());
+    inv.loads_before = inv.wfd->libos().TotalLoadNanos();
+    inv.root.SetArg("start", "warm");
   } else {
-    wfd_options.trace = trace.get();
-    wfd_options.trace_parent = root.id();
-    // Miss path, primary: clone-boot from the snapshot template (DESIGN.md
-    // §14) — O(µs) where a full boot is ~ms. Falls through to Create on any
-    // clone failure (geometry drift, mmap failure) or when no template has
-    // been captured yet.
-    std::shared_ptr<const WfdSnapshot> snap =
-        snapcell != nullptr ? snapcell->Get() : nullptr;
-    if (snap != nullptr) {
-      asobs::Span clone_span =
-          trace->StartSpan("wfd_clone", "visor", root.id());
-      auto clone_or = Wfd::CloneFromSnapshot(wfd_options, std::move(snap));
-      clone_span.End();
-      if (clone_or.ok()) {
-        wfd = std::move(*clone_or);
-        result.wfd_create_nanos = wfd->creation_nanos();
-        result.clone_start = true;
-        snapshot_clones->Add(1);
-        snapshot_clone_hist->Record(result.wfd_create_nanos);
-        root.SetArg("start", "clone");
-      } else {
-        AS_LOG(kWarn) << "snapshot clone-boot failed ("
-                      << clone_or.status().ToString()
-                      << "); falling back to full boot";
-      }
+    auto wfd_or = BootWfd(inv.reg->boot, inv.trace.get(), inv.root.id());
+    if (!wfd_or.ok()) {
+      inv.record.lease_nanos = asbase::MonoNanos() - lease_start;
+      return wfd_or.status();
     }
-    if (wfd == nullptr) {
-      asobs::Span create_span =
-          trace->StartSpan("wfd_create", "visor", root.id());
-      auto wfd_or = Wfd::Create(wfd_options);
-      create_span.End();
-      if (!wfd_or.ok()) {
-        flight.lease_nanos = asbase::MonoNanos() - lease_start;
-        return fail(wfd_or.status());
-      }
-      wfd = std::move(*wfd_or);
-      result.wfd_create_nanos = wfd->creation_nanos();
-      snapshot_fallbacks->Add(1);
-      root.SetArg("start", "cold");
-    }
+    inv.wfd = std::move(*wfd_or);
+    inv.result.wfd_create_nanos = inv.wfd->creation_nanos();
+    inv.result.clone_start = inv.wfd->cloned_from_snapshot();
+    inv.root.SetArg("start", inv.result.clone_start ? "clone" : "cold");
   }
   // Lease phase: warm pop, or the cold start the miss forced.
-  flight.lease_nanos = asbase::MonoNanos() - lease_start;
-  pool->RecordLease(flight.lease_nanos);
+  inv.record.lease_nanos = asbase::MonoNanos() - lease_start;
+  pool.RecordLease(inv.record.lease_nanos);
+  return asbase::OkStatus();
+}
 
+asbase::Status AsVisor::ExecPhase(Invocation& inv,
+                                  const asbase::Json& params) {
   // Steps 2-6: run the workflow; modules load on demand inside. The
   // deadline is enforced cooperatively at stage barriers.
-  Orchestrator orchestrator(wfd.get());
+  Orchestrator orchestrator(inv.wfd.get());
   Orchestrator::RunOptions run_options;
-  run_options.deadline_nanos = deadline_nanos;
+  run_options.deadline_nanos = inv.deadline_nanos;
   const int64_t exec_start = asbase::MonoNanos();
-  auto run_or = orchestrator.Run(spec, params, run_options);
-  flight.exec_nanos = asbase::MonoNanos() - exec_start;
-  flight.module_load_nanos = wfd->libos().TotalLoadNanos() - loads_before;
+  auto run_or = orchestrator.Run(inv.reg->spec, params, run_options);
+  inv.record.exec_nanos = asbase::MonoNanos() - exec_start;
+  Libos& libos = inv.wfd->libos();
+  inv.record.module_load_nanos = libos.TotalLoadNanos() - inv.loads_before;
   if (!run_or.ok()) {
-    // A failed (or timed-out) run leaves the WFD in an unknown state:
-    // destroy it — never re-pool — so the next invocation cold-starts
-    // clean. `wfd` going out of scope does the reclaim.
-    return fail(run_or.status());
+    // A failed (or timed-out) run leaves the WFD in an unknown state: it
+    // dies with the invocation — never re-pooled — so the next invocation
+    // cold-starts clean.
+    return run_or.status();
   }
+  InvokeResult& result = inv.result;
   result.run = std::move(*run_or);
-  flight.net_nanos = result.run.phases.transfer_nanos;
-  flight.stages = static_cast<uint32_t>(std::min(
+  inv.record.net_nanos = result.run.phases.transfer_nanos;
+  inv.record.stages = static_cast<uint32_t>(std::min(
       result.run.stage_nanos.size(), asobs::FlightRecord::kMaxStages));
-  for (uint32_t i = 0; i < flight.stages; ++i) {
-    flight.stage_nanos[i] = result.run.stage_nanos[i];
+  for (uint32_t i = 0; i < inv.record.stages; ++i) {
+    inv.record.stage_nanos[i] = result.run.stage_nanos[i];
   }
-
-  result.module_load_nanos = wfd->libos().TotalLoadNanos() - loads_before;
+  result.module_load_nanos = inv.record.module_load_nanos;
   result.cold_start_nanos = result.wfd_create_nanos + result.module_load_nanos;
-  result.modules_loaded = wfd->libos().LoadedModules();
-  result.resident_bytes = wfd->ResidentBytes();
+  result.modules_loaded = libos.LoadedModules();
+  result.resident_bytes = inv.wfd->ResidentBytes();
+  return asbase::OkStatus();
+}
 
-  // Step 7: return the WFD to the pool (reset + park) or destroy it and
-  // reclaim resources. Explicit here so the root span (and
-  // end_to_end_nanos) covers reclaim, and so no code touches the trace
-  // through the WFD's pointer after the span set is finalized.
+void AsVisor::ReclaimPhase(Invocation& inv) {
+  // Step 7: reset + park the WFD, or destroy it. Inside the root span so
+  // end_to_end_nanos covers reclaim, and before the span set is finalized
+  // so nothing touches the trace through the WFD's pointer afterwards.
+  const Registration& reg = *inv.reg;
   const int64_t reset_start = asbase::MonoNanos();
-  if (pool->capacity() > 0) {
-    asobs::Span reset_span = trace->StartSpan("pool_reset", "visor", root.id());
-    asbase::Status reset = wfd->Reset();
+  const bool pooled = reg.pool->capacity() > 0;
+  // The first successful boot+invoke+reset freezes the snapshot template
+  // (DESIGN.md §14); afterwards this is one mutex peek. A pool-less
+  // workflow, which gains the most from a template, resets for it too.
+  const bool capture = !inv.wfd->cloned_from_snapshot() &&
+                       reg.boot.snapshot->CaptureWorthTrying();
+  if (pooled || capture) {
+    asobs::Span reset_span;
+    if (pooled) {
+      reset_span = inv.trace->StartSpan("pool_reset", "visor", inv.root.id());
+    }
+    const asbase::Status reset = inv.wfd->Reset();
     reset_span.End();
     if (reset.ok()) {
-      wfd->SetTrace(nullptr, 0);
-      // First successful boot+invoke+reset freezes the snapshot template
-      // (DESIGN.md §14). Post-reset so the image holds no per-invocation
-      // state; pre-park so the WFD is still exclusively ours. The cell
-      // admits exactly one capture attempt, so steady state pays only a
-      // CaptureWorthTrying() mutex peek.
-      if (snapshot_enabled && snapcell != nullptr &&
-          !wfd->cloned_from_snapshot() && snapcell->CaptureWorthTrying()) {
+      inv.wfd->SetTrace(nullptr, 0);
+      if (capture) {
+        // Post-reset so the image holds no per-invocation state; pre-park
+        // so the WFD is still exclusively ours.
         asobs::Span snap_span =
-            trace->StartSpan("snapshot_capture", "visor", root.id());
-        MaybeCaptureSnapshot(snapcell, *wfd, snapshot_max_bytes,
-                             snapshot_creates);
-        snap_span.End();
+            inv.trace->StartSpan("snapshot_capture", "visor", inv.root.id());
+        MaybeCaptureSnapshot(reg, *inv.wfd);
       }
-      pool->Park(std::move(wfd));
-      lease_end.armed = false;
-    } else {
-      AS_LOG(kWarn) << "WFD reset for '" << workflow_name
-                    << "' failed (" << reset.ToString() << "); destroying";
+      if (pooled) {
+        reg.pool->Park(std::move(inv.wfd));
+        inv.lease_open = false;
+      }
+    } else if (pooled) {
+      AS_LOG(kWarn) << "WFD reset for '" << reg.spec.name << "' failed ("
+                    << reset.ToString() << "); destroying";
       // A WFD that cannot reset throws doubt on the template it may have
       // been cloned from (e.g. leaked slots baked into the image): drop the
       // snapshot so the next boot rebuilds from scratch.
-      if (snapcell != nullptr && snapcell->Invalidate()) {
-        snapshot_invalidations->Add(1);
+      if (reg.boot.snapshot->Invalidate()) {
+        reg.snapshot_invalidations->Add(1);
       }
-      wfd.reset();
     }
-  } else {
-    // pool_size == 0 cold-starts every invocation — the configuration with
-    // the most to gain from a template. Reset + capture once even though
-    // this WFD is about to be destroyed, so every later miss clone-boots.
-    if (snapshot_enabled && snapcell != nullptr &&
-        !wfd->cloned_from_snapshot() && snapcell->CaptureWorthTrying() &&
-        wfd->Reset().ok()) {
-      asobs::Span snap_span =
-          trace->StartSpan("snapshot_capture", "visor", root.id());
-      MaybeCaptureSnapshot(snapcell, *wfd, snapshot_max_bytes,
-                           snapshot_creates);
-      snap_span.End();
-    }
-    wfd.reset();
   }
-  flight.reset_nanos = asbase::MonoNanos() - reset_start;
-  result.end_to_end_nanos = asbase::MonoNanos() - received_at;
-  root.End();
+  inv.wfd.reset();
+  inv.record.reset_nanos = asbase::MonoNanos() - reset_start;
+}
 
-  invoke_hist->Record(result.end_to_end_nanos);
-  result.trace = trace;
-  result.span_summary = SummarizeTrace(*trace);
-
-  flight.outcome = asobs::FlightOutcome::kOk;
-  flight.end_nanos = received_at + result.end_to_end_nanos;
-  flight.total_nanos = result.end_to_end_nanos;
-  EmitFlight(flight_id, flight);
-
+InvokeResult AsVisor::FinishPhase(Invocation& inv) {
+  InvokeResult& result = inv.result;
+  result.end_to_end_nanos = EndFlight(inv, asobs::FlightOutcome::kOk);
+  inv.reg->invoke_hist->Record(result.end_to_end_nanos);
+  result.trace = inv.trace;
+  result.span_summary = SummarizeTrace(*inv.trace);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
+    auto it = workflows_.find(inv.reg->spec.name);
     if (it != workflows_.end()) {
-      it->second.latency.Record(result.end_to_end_nanos);
+      Entry& entry = it->second;
+      entry.latency.Record(result.end_to_end_nanos);
       // Service time feeding the admission predictor: execution only (the
       // queue wait is the quantity being predicted, not part of service).
       const double sample = static_cast<double>(result.end_to_end_nanos);
-      Entry& entry = it->second;
       entry.service_ewma_nanos =
           entry.service_ewma_nanos == 0
               ? sample
               : kServiceAlpha * sample +
                     (1.0 - kServiceAlpha) * entry.service_ewma_nanos;
-      if (it->second.warmup != nullptr) {
-        // Teach the pool warmer what this workflow actually loads, so the
-        // next pre-warmed WFD arrives with these modules already up.
-        // (Lock order: mutex_ then the profile lock; the factory takes only
-        // the profile lock, so there is no inversion.)
-        std::lock_guard<std::mutex> warmup_lock(it->second.warmup->mutex);
-        it->second.warmup->modules = result.modules_loaded;
-      }
     }
   }
   // Tail-based retention + SLO accounting. A fast success is usually NOT
   // retained (threshold > 0); the trace still rode along in `result` for
   // the caller.
-  AccountOutcome(workflow_name, trace, asobs::FlightOutcome::kOk,
+  AccountOutcome(inv.reg->spec.name, inv.trace, asobs::FlightOutcome::kOk,
                  result.end_to_end_nanos);
-  return result;
+  return std::move(result);
 }
 
-void AsVisor::MaybeCaptureSnapshot(
-    const std::shared_ptr<SnapshotCell>& cell, Wfd& wfd,
-    size_t max_image_bytes, asobs::Counter* creates) {
-  if (!cell->TryBeginCapture()) {
+asbase::Status AsVisor::FailInvocation(Invocation& inv,
+                                       asbase::Status status) {
+  inv.reg->failures->Add(1);
+  asobs::FlightOutcome outcome = asobs::FlightOutcome::kError;
+  if (status.code() == asbase::ErrorCode::kDeadlineExceeded) {
+    inv.reg->timeouts->Add(1);
+    outcome = asobs::FlightOutcome::kTimeout;
+  }
+  // Close the span tree so the retained trace is complete.
+  inv.root.SetArg("outcome", asobs::FlightOutcomeName(outcome));
+  AccountOutcome(inv.reg->spec.name, inv.trace, outcome,
+                 EndFlight(inv, outcome));
+  return status;
+}
+
+int64_t AsVisor::EndFlight(Invocation& inv, asobs::FlightOutcome outcome) {
+  inv.root.End();
+  inv.record.outcome = outcome;
+  inv.record.end_nanos = asbase::MonoNanos();
+  inv.record.total_nanos = inv.record.end_nanos - inv.record.start_nanos;
+  EmitFlight(inv.reg->flight_id, inv.record);
+  return inv.record.total_nanos;
+}
+
+void AsVisor::MaybeCaptureSnapshot(const Registration& reg, Wfd& wfd) {
+  SnapshotCell& cell = *reg.boot.snapshot;
+  if (!cell.TryBeginCapture()) {
     return;  // lost the race to a concurrent invocation, or already done
   }
-  auto snapshot_or = wfd.CaptureSnapshot(max_image_bytes);
+  auto snapshot_or = wfd.CaptureSnapshot(reg.snapshot_max_bytes);
   if (snapshot_or.ok()) {
-    cell->EndCapture(std::move(*snapshot_or));
-    creates->Add(1);
+    cell.EndCapture(std::move(*snapshot_or));
+    reg.snapshot_creates->Add(1);
   } else {
     // Capture failure marks the cell dead: a workflow whose state cannot
     // snapshot (ramfs, external disk, oversized image, pinned buffers)
@@ -787,7 +672,7 @@ void AsVisor::MaybeCaptureSnapshot(
     AS_LOG(kInfo) << "snapshot capture declined ("
                   << snapshot_or.status().ToString()
                   << "); workflow will keep full-boot cold starts";
-    cell->EndCapture(nullptr);
+    cell.EndCapture(nullptr);
   }
 }
 
@@ -868,13 +753,13 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
           row.Set("queued", static_cast<int64_t>(other.waiters.size()));
           row.Set("service_ewma_nanos",
                   static_cast<int64_t>(other.service_ewma_nanos));
-          if (other.pool != nullptr) {
+          if (other.reg->pool != nullptr) {
             // Lock order: mutex_ then the pool mutex — the pool never
             // calls back into the visor.
             row.Set("warm_wfds",
-                    static_cast<int64_t>(other.pool->warm_count()));
+                    static_cast<int64_t>(other.reg->pool->warm_count()));
             row.Set("pool_target_warm",
-                    static_cast<int64_t>(other.pool->target_warm()));
+                    static_cast<int64_t>(other.reg->pool->target_warm()));
           }
           queues.Append(std::move(row));
         }
@@ -945,50 +830,43 @@ int64_t AsVisor::PredictedWaitNanosLocked(const Entry& entry) const {
   // servers draining the queue, expected wait ≈ position × service / c.
   const double position = static_cast<double>(entry.waiters.size()) + 1.0;
   const double concurrency =
-      static_cast<double>(std::max(entry.options.max_concurrency, 1));
+      static_cast<double>(std::max(entry.reg->options.max_concurrency, 1));
   return static_cast<int64_t>(position * entry.service_ewma_nanos /
                               concurrency);
 }
 
-namespace {
-
-bool EligibleWaiter(const AsVisor::WorkflowOptions& options, int inflight,
-                    bool has_waiters) {
-  return has_waiters && inflight < options.max_concurrency;
-}
-
-}  // namespace
-
-std::string AsVisor::NextWeightedWorkflowLocked() const {
-  // Pass 1: the minimum number of whole DRR rounds until some eligible
-  // workflow's deficit reaches 1 (0 when someone already has credit).
+double AsVisor::MinGrantRoundsLocked() const {
   double min_rounds = -1;
   for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!entry.eligible()) {
       continue;
     }
     const double rounds =
         entry.deficit >= 1.0
             ? 0.0
-            : std::ceil((1.0 - entry.deficit) / entry.options.weight);
+            : std::ceil((1.0 - entry.deficit) / entry.reg->options.weight);
     if (min_rounds < 0 || rounds < min_rounds) {
       min_rounds = rounds;
     }
   }
+  return min_rounds;
+}
+
+std::string AsVisor::NextWeightedWorkflowLocked() const {
+  const double min_rounds = MinGrantRoundsLocked();
   if (min_rounds < 0) {
     return "";  // nobody eligible is queued
   }
-  // Pass 2: after advancing everyone by min_rounds, the highest deficit
-  // wins; ties go to the smallest name (map order + strict >).
+  // After advancing everyone by min_rounds, the highest deficit wins; ties
+  // go to the smallest name (map order + strict >).
   std::string winner;
   double best = 0;
   for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!entry.eligible()) {
       continue;
     }
-    const double credited = entry.deficit + min_rounds * entry.options.weight;
+    const double credited =
+        entry.deficit + min_rounds * entry.reg->options.weight;
     if (credited >= 1.0 - 1e-9 && (winner.empty() || credited > best)) {
       winner = name;
       best = credited;
@@ -998,29 +876,15 @@ std::string AsVisor::NextWeightedWorkflowLocked() const {
 }
 
 void AsVisor::ChargeGrantLocked(const std::string& winner) {
-  double min_rounds = -1;
-  for (const auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
-      continue;
-    }
-    const double rounds =
-        entry.deficit >= 1.0
-            ? 0.0
-            : std::ceil((1.0 - entry.deficit) / entry.options.weight);
-    if (min_rounds < 0 || rounds < min_rounds) {
-      min_rounds = rounds;
-    }
-  }
+  const double min_rounds = MinGrantRoundsLocked();
   if (min_rounds < 0) {
     return;
   }
   for (auto& [name, entry] : workflows_) {
-    if (!EligibleWaiter(entry.options, entry.inflight,
-                        !entry.waiters.empty())) {
+    if (!entry.eligible()) {
       continue;
     }
-    const double weight = entry.options.weight;
+    const double weight = entry.reg->options.weight;
     // Cap banked credit so a long-uncontested workflow cannot starve
     // everyone for many grants once contention returns.
     entry.deficit = std::min(entry.deficit + min_rounds * weight,
@@ -1072,7 +936,7 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
     queued_gauge = entry.queued_gauge;
     queue_wait_hist = entry.queue_wait_hist;
     const bool slot_free =
-        entry.inflight < entry.options.max_concurrency &&
+        entry.inflight < entry.reg->options.max_concurrency &&
         inflight_global_ < serving_.max_inflight;
     // Fast path: admit only when no other workflow has a runnable waiter —
     // a fresh arrival must not leapfrog a co-tenant already queued for a
@@ -1088,19 +952,19 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
     // fits the budget; otherwise reject and report the prediction so the
     // caller can compute Retry-After.
     *predicted_wait_nanos = PredictedWaitNanosLocked(entry);
-    if (entry.options.queue_capacity == 0) {
+    if (entry.reg->options.queue_capacity == 0) {
       return asbase::ResourceExhausted(
           "workflow '" + workflow_name + "' at max_concurrency (" +
-          std::to_string(entry.options.max_concurrency) + ")");
+          std::to_string(entry.reg->options.max_concurrency) + ")");
     }
-    if (entry.waiters.size() >= entry.options.queue_capacity) {
+    if (entry.waiters.size() >= entry.reg->options.queue_capacity) {
       return asbase::ResourceExhausted(
           "workflow '" + workflow_name + "' admission queue full (" +
-          std::to_string(entry.options.queue_capacity) + ")");
+          std::to_string(entry.reg->options.queue_capacity) + ")");
     }
     const int64_t budget_ms = std::min(budget_ms_override >= 0
                                            ? budget_ms_override
-                                           : entry.options.queueing_budget_ms,
+                                           : entry.reg->options.queueing_budget_ms,
                                        kMaxQueueBudgetMs);
     if (*predicted_wait_nanos > budget_ms * 1'000'000) {
       return asbase::ResourceExhausted(
@@ -1130,7 +994,8 @@ asbase::Status AsVisor::AdmitBlocking(const std::string& workflow_name,
       // Front of our workflow's queue, slots free, and it is our
       // workflow's deficit-round-robin turn for the global slot.
       return found->second.waiters.front() == ticket &&
-             found->second.inflight < found->second.options.max_concurrency &&
+             found->second.inflight <
+                 found->second.reg->options.max_concurrency &&
              inflight_global_ < serving_.max_inflight &&
              NextWeightedWorkflowLocked() == workflow_name;
     });
@@ -1232,8 +1097,8 @@ void AsVisor::ShutdownPools() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, entry] : workflows_) {
-      if (entry.pool != nullptr) {
-        pools.push_back(entry.pool);
+      if (entry.reg->pool != nullptr) {
+        pools.push_back(entry.reg->pool);
       }
     }
   }
@@ -1320,7 +1185,7 @@ AsVisor::ServeResult AsVisor::Serve(const std::string& workflow_name,
       retry_after_fallback = serving_.retry_after_seconds;
       auto it = workflows_.find(workflow_name);
       if (it != workflows_.end()) {
-        flight_id = it->second.flight_id;
+        flight_id = it->second.reg->flight_id;
         rejections = it->second.rejections;
       }
     }
@@ -1423,16 +1288,9 @@ asbase::Result<asbase::Histogram> AsVisor::LatencyHistogram(
 
 asbase::Result<size_t> AsVisor::WarmWfdCount(
     const std::string& workflow_name) const {
-  std::shared_ptr<WfdPool> pool;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = workflows_.find(workflow_name);
-    if (it == workflows_.end()) {
-      return asbase::NotFound("no workflow named '" + workflow_name + "'");
-    }
-    pool = it->second.pool;
-  }
-  return pool->warm_count();
+  AS_ASSIGN_OR_RETURN(std::shared_ptr<const Registration> reg,
+                      Lookup(workflow_name));
+  return reg->pool->warm_count();
 }
 
 }  // namespace alloy

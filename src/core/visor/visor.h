@@ -210,9 +210,16 @@ class AsVisor {
   };
   ShardLoad LoadSnapshot() const;
 
-  // Full JSON configuration: workflow spec (+"options": {"ramfs", "load_all",
-  // "reference_passing", "inter_function_isolation", "heap_mb", "disk_mb",
-  // "pool_size", "max_concurrency", "timeout_ms"}).
+  // Parses a full JSON configuration: workflow spec plus an optional
+  // "options" object. WFD keys: "ramfs", "load_all", "reference_passing",
+  // "inter_function_isolation" (booleans), "heap_mb", "disk_mb" (0..2^20).
+  // WorkflowOptions keys: "pool_size", "min_warm", "idle_ttl_ms",
+  // "queue_capacity", "queueing_budget_ms", "timeout_ms", "slo_latency_ms"
+  // (>= 0), "max_concurrency" (>= 1), "pin_shard" (>= -1), "weight" (> 0),
+  // "slo_objective" (0..1). An out-of-range value is InvalidArgument.
+  static asbase::Result<WorkflowRegistration> ParseWorkflowJson(
+      const asbase::Json& config);
+  // ParseWorkflowJson + RegisterWorkflow; registers nothing on error.
   asbase::Status RegisterWorkflowFromJson(const asbase::Json& config);
 
   // One invocation: lease a warm WFD (or cold-start one), run, re-pool on
@@ -299,7 +306,6 @@ class AsVisor {
   size_t max_inflight() const;
 
   std::vector<std::string> WorkflowNames() const;
-  int shard_index() const { return shard_.index; }
 
   // Per-workflow end-to-end latency samples (P99 analysis, Fig 17a).
   asbase::Result<asbase::Histogram> LatencyHistogram(
@@ -312,31 +318,46 @@ class AsVisor {
   static constexpr size_t kTraceRing = 8;
 
  private:
-  // What this workflow's runs actually warm up: the LibOS modules its last
-  // completed invocation had loaded and the stage-worker fan-out its spec
-  // needs. The pool warmer's factory replays both, so a pre-warmed WFD is
-  // hot (fdtab/fatfs constructed, workers up), not just booted. Shared with
-  // the factory closure and guarded by its own mutex so the warmer never
-  // touches visor state (a draining pool may outlive the registration).
-  struct WarmupProfile {
-    std::mutex mutex;
-    std::vector<ModuleKind> modules;
+  // How a registration's WFDs boot (DESIGN.md §14). The pool warmer's
+  // factory holds a copy, which may outlive the registration.
+  struct BootPlan {
+    WfdOptions wfd;
+    // Stage workers a full boot pre-spawns (Orchestrator::MaxStageFanout);
+    // a clone already carries the template's (WfdSnapshot::stage_workers).
     size_t stage_workers = 0;
+    // Template slot: filled by the first successful post-invoke reset,
+    // dropped on re-registration or reset failure.
+    std::shared_ptr<SnapshotCell> snapshot;
+    asobs::Counter* clones = nullptr;
+    asobs::Counter* fallbacks = nullptr;
+    asobs::LatencyHistogram* clone_hist = nullptr;
+  };
+
+  // Everything Invoke reads about a workflow, immutable once registered:
+  // Invoke copies one pointer under mutex_ and keeps using it while a
+  // concurrent re-registration swaps in a fresh one.
+  struct Registration {
+    WorkflowSpec spec;
+    WorkflowOptions options;
+    std::shared_ptr<WfdPool> pool;
+    BootPlan boot;
+    // Cached registry series (registry-owned, immortal) so the invoke and
+    // admission hot paths never take the global registry mutex — with N
+    // shards that mutex would be the one lock every shard still shares.
+    asobs::Counter* invocations = nullptr;
+    asobs::Counter* failures = nullptr;
+    asobs::Counter* timeouts = nullptr;
+    asobs::LatencyHistogram* invoke_hist = nullptr;
+    asobs::Counter* snapshot_creates = nullptr;
+    asobs::Counter* snapshot_invalidations = nullptr;
+    // Flight-recorder workflow id, interned at registration so the emit
+    // path never touches the intern mutex.
+    uint32_t flight_id = 0;
+    size_t snapshot_max_bytes = 0;  // ALLOY_SNAPSHOT_MAX_BYTES
   };
 
   struct Entry {
-    WorkflowSpec spec;
-    WorkflowOptions options;
-    // Shared so Invoke can use the pool outside mutex_ while a concurrent
-    // re-registration swaps in a fresh one.
-    std::shared_ptr<WfdPool> pool;
-    // Warm-up recording for the pool factory (see WarmupProfile).
-    std::shared_ptr<WarmupProfile> warmup;
-    // Snapshot-fork template slot (DESIGN.md §14): written once by the
-    // first successful post-invoke reset, read by the factory and the
-    // invoke miss path, dropped on re-registration or reset failure.
-    // Shared with the factory closure like `warmup`.
-    std::shared_ptr<SnapshotCell> snapshot;
+    std::shared_ptr<const Registration> reg;
     // Watchdog invocations currently running this workflow (admission).
     int inflight = 0;
     // FIFO admission queue: tickets of requests waiting for a concurrency
@@ -354,43 +375,61 @@ class AsVisor {
     asbase::Histogram latency;
     // Last kTraceRing invocation traces, oldest first.
     std::deque<std::shared_ptr<const asobs::Trace>> traces;
-    // Cached registry series (registry-owned, immortal) so the invoke and
-    // admission hot paths never take the global registry mutex — with N
-    // shards that mutex would be the one lock every shard still shares.
-    asobs::Counter* invocations = nullptr;
-    asobs::Counter* failures = nullptr;
-    asobs::Counter* timeouts = nullptr;
+    // Admission-side series, cached like Registration's.
     asobs::Counter* rejections = nullptr;
     asobs::Gauge* queued_gauge = nullptr;
-    asobs::LatencyHistogram* invoke_hist = nullptr;
     asobs::LatencyHistogram* queue_wait_hist = nullptr;
-    // Flight-recorder workflow id, interned at registration so the emit
-    // path never touches the intern mutex.
-    uint32_t flight_id = 0;
     // SLO tracker + milli-scaled burn gauges (alloy_slo_burn_rate{window}).
     // Null when the registration declared no SLO.
     std::shared_ptr<asobs::SloTracker> slo;
     asobs::Gauge* burn_fast = nullptr;
     asobs::Gauge* burn_slow = nullptr;
-    // Snapshot lifecycle counters + clone-boot latency, cached like the
-    // series above (registry-owned, immortal).
-    asobs::Counter* snapshot_creates = nullptr;
-    asobs::Counter* snapshot_clones = nullptr;
-    asobs::Counter* snapshot_invalidations = nullptr;
-    asobs::Counter* snapshot_fallbacks = nullptr;
-    asobs::LatencyHistogram* snapshot_clone_hist = nullptr;
-    // ALLOY_SNAPSHOT / ALLOY_SNAPSHOT_MAX_BYTES, parsed at registration.
-    bool snapshot_enabled = true;
-    size_t snapshot_max_bytes = 0;
+
+    // A queued request and a free concurrency slot: competes for a grant.
+    bool eligible() const {
+      return !waiters.empty() && inflight < reg->options.max_concurrency;
+    }
   };
 
-  // Captures a snapshot template from `wfd` (post-reset, pre-park) into
-  // `cell` if the cell is still open and snapshots are enabled. At most one
-  // capture per registration ever runs; failures mark the cell dead so the
-  // cost is not re-paid. Never called under mutex_.
-  static void MaybeCaptureSnapshot(const std::shared_ptr<SnapshotCell>& cell,
-                                   Wfd& wfd, size_t max_image_bytes,
-                                   asobs::Counter* creates);
+  // The workflow's registration, or NotFound.
+  asbase::Result<std::shared_ptr<const Registration>> Lookup(
+      const std::string& workflow_name) const;
+
+  // One invocation's state across the flight phases (see visor.cc).
+  struct Invocation;
+
+  // The one WFD boot path: clone from the snapshot template when one
+  // exists, else Wfd::Create plus the plan's stage workers. Counts
+  // clones/fallbacks; opens wfd_clone/wfd_create spans only given a trace.
+  static asbase::Result<std::unique_ptr<Wfd>> BootWfd(const BootPlan& plan,
+                                                      asobs::Trace* trace,
+                                                      uint32_t trace_parent);
+
+  // Flight phases of Invoke, in order. Lease: warm pop or BootWfd. Exec:
+  // the orchestrator run. Reclaim: reset, snapshot capture, then park or
+  // destroy. Finish: histograms, flight record, service EWMA, outcome
+  // accounting. A phase that fails hands its status to FailInvocation.
+  asbase::Status LeasePhase(Invocation& inv);
+  asbase::Status ExecPhase(Invocation& inv, const asbase::Json& params);
+  void ReclaimPhase(Invocation& inv);
+  InvokeResult FinishPhase(Invocation& inv);
+  // The shared failure path: counts the failure (and timeout), closes the
+  // span tree, deposits the flight record, accounts the outcome.
+  asbase::Status FailInvocation(Invocation& inv, asbase::Status status);
+  // Ends the root span, stamps and deposits the flight record; returns the
+  // invocation's total nanoseconds.
+  int64_t EndFlight(Invocation& inv, asobs::FlightOutcome outcome);
+
+  // Captures the registration's snapshot template from `wfd` (post-reset,
+  // pre-park) if its cell is still open. At most one capture per
+  // registration ever runs; failures mark the cell dead so the cost is not
+  // re-paid. Never called under mutex_.
+  static void MaybeCaptureSnapshot(const Registration& reg, Wfd& wfd);
+
+  // Erases the entry (plus a migration tombstone if asked), wakes its queued
+  // admissions and returns its pool; nullptr when not registered here.
+  std::shared_ptr<WfdPool> RemoveEntry(const std::string& workflow_name,
+                                       bool tombstone);
 
   void ReleaseAdmission(const std::string& workflow_name);
 
@@ -424,6 +463,9 @@ class AsVisor {
   // it; ChargeGrantLocked applies the mutation once per actual grant.
   // Empty when nobody eligible is queued.
   std::string NextWeightedWorkflowLocked() const;
+  // Whole DRR rounds until some eligible workflow's deficit reaches 1
+  // (0 when one already has credit); -1 when nobody eligible is queued.
+  double MinGrantRoundsLocked() const;
   // Applies the DRR bookkeeping for granting `winner` a slot. Must run
   // while the winner's ticket is still queued (so the eligible set matches
   // what NextWeightedWorkflowLocked saw).

@@ -3,37 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/core/visor/visor_router.h"
 #include "src/obs/rebalance.h"
 
 namespace alloy {
 namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(env, &end, 10);
-  if (end == env || value < 0) {
-    return fallback;
-  }
-  return static_cast<int64_t>(value);
-}
-
-bool EnvFlag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  return !(env[0] == '0' && env[1] == '\0');
-}
 
 std::string SlicesToString(const std::vector<size_t>& slices) {
   std::string out;
@@ -46,34 +25,32 @@ std::string SlicesToString(const std::vector<size_t>& slices) {
   return out;
 }
 
+// A ratio knob, given in the environment as an integer percent.
+double Percent(const char* name, double fallback) {
+  return static_cast<double>(asbase::EnvInt64(
+             name, static_cast<int64_t>(std::llround(fallback * 100)))) /
+         100.0;
+}
+
 }  // namespace
 
 RebalancerOptions RebalancerOptions::FromEnv(RebalancerOptions base) {
-  base.enabled = EnvFlag("ALLOY_REBALANCE", base.enabled);
-  base.interval_ms = EnvInt64("ALLOY_REBALANCE_INTERVAL_MS", base.interval_ms);
-  base.cooldown_ms = EnvInt64("ALLOY_REBALANCE_COOLDOWN_MS", base.cooldown_ms);
+  base.enabled = asbase::EnvBool("ALLOY_REBALANCE", base.enabled);
+  base.interval_ms =
+      asbase::EnvInt64("ALLOY_REBALANCE_INTERVAL_MS", base.interval_ms);
+  base.cooldown_ms =
+      asbase::EnvInt64("ALLOY_REBALANCE_COOLDOWN_MS", base.cooldown_ms);
   base.reslice_deadband = static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("ALLOY_REBALANCE_DEADBAND",
-                  static_cast<int64_t>(base.reslice_deadband))));
-  base.migrate = EnvFlag("ALLOY_REBALANCE_MIGRATE", base.migrate);
+      1, asbase::EnvInt64("ALLOY_REBALANCE_DEADBAND",
+                          static_cast<int64_t>(base.reslice_deadband))));
+  base.migrate = asbase::EnvBool("ALLOY_REBALANCE_MIGRATE", base.migrate);
   base.migrate_ratio =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_MIGRATE_RATIO_PCT",
-          static_cast<int64_t>(std::llround(base.migrate_ratio * 100)))) /
-      100.0;
-  base.scale = EnvFlag("ALLOY_REBALANCE_SCALE", base.scale);
+      Percent("ALLOY_REBALANCE_MIGRATE_RATIO_PCT", base.migrate_ratio);
+  base.scale = asbase::EnvBool("ALLOY_REBALANCE_SCALE", base.scale);
   base.scale_up_utilization =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_SCALE_UP_PCT",
-          static_cast<int64_t>(std::llround(base.scale_up_utilization *
-                                            100)))) /
-      100.0;
+      Percent("ALLOY_REBALANCE_SCALE_UP_PCT", base.scale_up_utilization);
   base.scale_down_utilization =
-      static_cast<double>(EnvInt64(
-          "ALLOY_REBALANCE_SCALE_DOWN_PCT",
-          static_cast<int64_t>(std::llround(base.scale_down_utilization *
-                                            100)))) /
-      100.0;
+      Percent("ALLOY_REBALANCE_SCALE_DOWN_PCT", base.scale_down_utilization);
   return base;
 }
 

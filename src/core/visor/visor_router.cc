@@ -1,11 +1,11 @@
 #include "src/core/visor/visor_router.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/http/parser.h"
 #include "src/obs/metrics.h"
@@ -48,10 +48,7 @@ uint64_t Fnv1a(const std::string& data) {
 size_t ResolveShardCount(size_t requested) {
   size_t shards = requested;
   if (shards == 0) {
-    const char* env = std::getenv("ALLOY_VISOR_SHARDS");
-    if (env != nullptr && *env != '\0') {
-      shards = static_cast<size_t>(std::max(0L, std::atol(env)));
-    }
+    shards = static_cast<size_t>(asbase::EnvInt64("ALLOY_VISOR_SHARDS", 0));
   }
   if (shards == 0) {
     shards = std::max(1u, std::thread::hardware_concurrency());
@@ -298,36 +295,12 @@ void AsVisorRouter::RegisterWorkflow(const WorkflowSpec& spec,
 
 asbase::Status AsVisorRouter::RegisterWorkflowFromJson(
     const asbase::Json& config) {
-  AS_ASSIGN_OR_RETURN(WorkflowSpec spec, WorkflowSpec::FromJson(config));
-  int pin_shard = -1;
-  const asbase::Json& opts = config["options"];
-  if (opts.is_object() && opts["pin_shard"].is_number()) {
-    pin_shard = static_cast<int>(opts["pin_shard"].as_int());
-  }
-  std::shared_ptr<AsVisor> target_shard;
-  std::shared_ptr<AsVisor> previous_shard;
-  {
-    std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-    const size_t target =
-        pin_shard >= 0 ? static_cast<size_t>(pin_shard) % shards_.size()
-                       : HashShardLocked(spec.name);
-    size_t previous = target;
-    auto it = routes_.find(spec.name);
-    if (it != routes_.end()) {
-      previous = it->second;
-      it->second = target;
-    } else {
-      routes_.emplace(spec.name, target);
-    }
-    if (previous != target && previous < shards_.size()) {
-      previous_shard = shards_[previous];
-    }
-    target_shard = shards_[target];
-  }
-  if (previous_shard != nullptr) {
-    previous_shard->UnregisterWorkflow(spec.name);
-  }
-  return target_shard->RegisterWorkflowFromJson(config);
+  // Parsed (and validated) before placement, so a rejected config leaves
+  // the routes untouched.
+  AS_ASSIGN_OR_RETURN(AsVisor::WorkflowRegistration registration,
+                      AsVisor::ParseWorkflowJson(config));
+  RegisterWorkflow(registration.spec, std::move(registration.options));
+  return asbase::OkStatus();
 }
 
 bool AsVisorRouter::UnregisterWorkflow(const std::string& workflow_name) {

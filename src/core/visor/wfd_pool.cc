@@ -144,23 +144,7 @@ std::unique_ptr<Wfd> WfdPool::TryAcquireWarm() {
 }
 
 void WfdPool::Park(std::unique_ptr<Wfd> wfd) {
-  if (wfd == nullptr) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    last_activity_nanos_ = asbase::MonoNanos();
-    if (outstanding_ > 0) {
-      --outstanding_;
-    }
-    if (!stopping_ && warm_.size() < options_.capacity) {
-      AddWarmLocked(std::move(wfd));
-      return;
-    }
-  }
-  // At capacity: destroy outside the lock (WFD teardown is not cheap).
-  evictions_.Add(1);
-  wfd.reset();
+  Store(std::move(wfd), /*ends_lease=*/true);
 }
 
 void WfdPool::AbandonLease() {
@@ -191,17 +175,25 @@ std::vector<std::unique_ptr<Wfd>> WfdPool::TakeWarmForHandoff() {
 }
 
 void WfdPool::AdoptWarm(std::unique_ptr<Wfd> wfd) {
+  Store(std::move(wfd), /*ends_lease=*/false);
+}
+
+void WfdPool::Store(std::unique_ptr<Wfd> wfd, bool ends_lease) {
   if (wfd == nullptr) {
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     last_activity_nanos_ = asbase::MonoNanos();
+    if (ends_lease && outstanding_ > 0) {
+      --outstanding_;
+    }
     if (!stopping_ && warm_.size() < options_.capacity) {
       AddWarmLocked(std::move(wfd));
       return;
     }
   }
+  // At capacity: destroy outside the lock (WFD teardown is not cheap).
   evictions_.Add(1);
   wfd.reset();
 }

@@ -7,7 +7,7 @@
 // keeping up to `capacity` fully-booted WFDs parked per workflow. Lifecycle:
 //
 //   lease (warm hit)  -> run -> reset ok  -> park warm      (reuse)
-//   lease (miss)      -> Wfd::Create by the caller          (cold start)
+//   lease (miss)      -> boot by the caller                 (cold start)
 //   run failed        -> destroy, never re-pool             (poisoned WFD)
 //   reset failed      -> destroy                            (unreclaimable)
 //   park while full   -> destroy                            (eviction)
@@ -19,9 +19,11 @@
 // already in flight when it lands, and (c) evicts every parked WFD once the
 // workflow has been idle past `idle_ttl_ms`, so a quiet workflow's pool —
 // and the heap + disk its WFDs pin — shrinks to zero. The warmer needs a
-// `factory` callback (provided by the visor) to instantiate WFDs itself;
-// caller-side cold starts (and the wfd_create trace span) stay with the
-// visor so a cold start looks identical with or without pooling.
+// `factory` callback to instantiate WFDs itself. The visor has one boot
+// function, AsVisor::BootWfd (clone from the snapshot template, else full
+// boot): its factory calls it without a trace, and its lease miss calls it
+// with the invocation's trace (wfd_clone / wfd_create spans), so a WFD
+// boots the same way whoever asks for it.
 //
 // Metrics, all labelled {workflow=...}: alloy_visor_pool_{hits,misses,
 // evictions}_total, alloy_visor_prewarms_total (WFDs booted by the warmer),
@@ -78,7 +80,7 @@ class WfdPool {
   WfdPool& operator=(const WfdPool&) = delete;
 
   // Pops a warm WFD (counted as a hit) or returns nullptr (a miss — the
-  // caller cold-starts via Wfd::Create and pays the instantiation). Every
+  // caller boots one and pays the instantiation). Every
   // call counts as an arrival for the warmer's rate EWMA.
   std::unique_ptr<Wfd> TryAcquireWarm();
 
@@ -153,6 +155,9 @@ class WfdPool {
   size_t TargetWarmLocked(int64_t now) const;
   bool IdleLocked(int64_t now) const;
   void AddWarmLocked(std::unique_ptr<Wfd> wfd);
+  // Park / AdoptWarm: parks `wfd`, or destroys it as an eviction when the
+  // pool is full or stopping; `ends_lease` also closes a lease.
+  void Store(std::unique_ptr<Wfd> wfd, bool ends_lease);
   std::unique_ptr<Wfd> PopWarmLocked();
   // Drops every parked WFD from the store and un-charges the gauge; returns
   // the doomed WFDs for off-lock destruction.

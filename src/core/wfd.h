@@ -128,8 +128,8 @@ class Wfd {
   // max stage fan-out) and returns how many threads were actually spawned.
   // The pool is lazily created on the first run and survives Reset() and
   // pool park, so a reused WFD dispatches stage instances with zero spawns;
-  // the pool's threads die with the WFD. The warmer factory calls this too,
-  // so pre-warmed WFDs arrive with their workers already up. Worker k is
+  // the pool's threads die with the WFD. The visor's full boot calls this
+  // too, so a booted WFD arrives with its workers already up. Worker k is
   // pinned to allowed core (home + k) mod n, where each WFD's home is the
   // next step of a process-wide round robin.
   size_t EnsureStageWorkers(size_t num_threads);
@@ -139,6 +139,11 @@ class Wfd {
 
  private:
   Wfd() = default;
+
+  // What Create and CloneFromSnapshot share: keys, trampoline and the LibOS,
+  // booted fresh (`snapshot` null) or reconstructed from the template.
+  static asbase::Result<std::unique_ptr<Wfd>> Boot(
+      WfdOptions options, const WfdSnapshot* snapshot);
 
   WfdOptions options_;
   std::unique_ptr<asmpk::PkeyRuntime> mpk_;

@@ -39,7 +39,7 @@ struct WfdSnapshot {
   std::shared_ptr<const asalloc::ArenaSnapshot> heap;
   asalloc::LinkedListAllocator::Image allocator;
   // Disk template + mounted-volume metadata (null when fatfs was never
-  // loaded; ramfs-backed WFDs are not snapshotable and fall back to replay).
+  // loaded; ramfs-backed WFDs are not snapshotable and always full-boot).
   std::shared_ptr<const asblk::MemDiskImage> disk;
   asfat::FatVolume::MetaImage fat;
 
@@ -62,10 +62,14 @@ struct WfdSnapshot {
 };
 
 // Shared, mutex-guarded holder for a workflow's current snapshot. Shared
-// between the visor Entry and the pool factory closure (which may outlive
-// the registration, like WarmupProfile).
+// between the visor's registration and the pool factory closure (which may
+// outlive the registration).
 class SnapshotCell {
  public:
+  // A disabled cell (ALLOY_SNAPSHOT=off) is born dead: it never admits a
+  // capture, so it never holds a template.
+  explicit SnapshotCell(bool enabled = true) : dead_(!enabled) {}
+
   std::shared_ptr<const WfdSnapshot> Get() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return snapshot_;

@@ -8,11 +8,13 @@
 #endif
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
 #include <set>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/env.h"
 #include "src/common/histogram.h"
 #include "src/common/json.h"
 #include "src/common/queue.h"
@@ -22,6 +24,45 @@
 
 namespace asbase {
 namespace {
+
+// ------------------------------------------------------------------- Env
+
+TEST(EnvTest, MalformedIntegersFallBackToDefault) {
+  const char* knob = "AS_COMMON_TEST_INT_KNOB";
+  ::unsetenv(knob);
+  EXPECT_EQ(EnvInt64(knob, 7), 7);
+  ::setenv(knob, "42", 1);
+  EXPECT_EQ(EnvInt64(knob, 7), 42);
+  ::setenv(knob, "0", 1);
+  EXPECT_EQ(EnvInt64(knob, 7), 0);
+  // Trailing junk, words, signs, empty and overflow all mean the default:
+  // "2x" must not half-apply as 2.
+  for (const char* bad : {"2x", "banana", "-3", "", "99999999999999999999",
+                          "+5", " 5"}) {
+    ::setenv(knob, bad, 1);
+    EXPECT_EQ(EnvInt64(knob, 7), 7) << "value \"" << bad << "\"";
+  }
+  ::unsetenv(knob);
+}
+
+TEST(EnvTest, BooleansAcceptWordsAndFallBackOnJunk) {
+  const char* knob = "AS_COMMON_TEST_BOOL_KNOB";
+  ::unsetenv(knob);
+  EXPECT_TRUE(EnvBool(knob, true));
+  EXPECT_FALSE(EnvBool(knob, false));
+  for (const char* yes : {"1", "on", "TRUE", "yes"}) {
+    ::setenv(knob, yes, 1);
+    EXPECT_TRUE(EnvBool(knob, false)) << yes;
+  }
+  for (const char* no : {"0", "off", "False", "no"}) {
+    ::setenv(knob, no, 1);
+    EXPECT_FALSE(EnvBool(knob, true)) << no;
+  }
+  ::setenv(knob, "banana", 1);
+  EXPECT_TRUE(EnvBool(knob, true));
+  EXPECT_FALSE(EnvBool(knob, false));
+  ::unsetenv(knob);
+}
 
 // ---------------------------------------------------------------- Status
 

@@ -566,6 +566,22 @@ TEST(VisorTest, InvokeFromJsonConfig) {
   EXPECT_EQ(result->run.result, "ran");
 }
 
+TEST(VisorTest, JsonRegistrationRejectsNegativeSizes) {
+  // Unchecked, pool_size -1 would become a SIZE_MAX pool capacity and a
+  // negative heap_mb/disk_mb a huge shifted size.
+  for (const char* bad : {R"({"pool_size": -1})", R"({"heap_mb": -1})",
+                          R"({"disk_mb": -1})"}) {
+    AsVisor visor;
+    auto config = asbase::Json::Parse(
+        std::string(R"({"name": "badopts", "stages": [{"functions": )") +
+        R"([{"name": "test.config-fn"}]}], "options": )" + bad + "}");
+    ASSERT_TRUE(config.ok()) << config.status().ToString();
+    const asbase::Status status = visor.RegisterWorkflowFromJson(*config);
+    EXPECT_EQ(status.code(), asbase::ErrorCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(visor.WorkflowNames().empty()) << bad;
+  }
+}
+
 TEST(VisorTest, WatchdogInvokesOverHttp) {
   FunctionRegistry::Global().Register(
       "test.http-fn", [](FunctionContext& ctx) -> asbase::Status {

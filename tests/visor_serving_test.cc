@@ -606,7 +606,7 @@ TEST(VisorServingTest, RegisterWorkflowPrewarmsToFloorWithoutInvocation) {
   EXPECT_EQ(first->wfd_create_nanos, 0);
 }
 
-TEST(VisorServingTest, PrewarmedWfdsReplayLearnedModuleSet) {
+TEST(VisorServingTest, WarmerReplacementIsCloneCarryingLearnedModules) {
   FunctionRegistry::Global().Register(
       "serving.warmod", [](FunctionContext& ctx) -> asbase::Status {
         AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/warm.txt", Bytes("w")));
@@ -637,26 +637,76 @@ TEST(VisorServingTest, PrewarmedWfdsReplayLearnedModuleSet) {
   };
   ASSERT_EQ(wait_for_warm(), 1u);
 
-  // The first run lands on an unprofiled pre-warmed WFD: it pays the module
-  // loads itself and teaches the warmer what this workflow touches.
+  // The first run lands on a freshly booted pre-warmed WFD: it pays the
+  // module loads itself, and its post-run reset captures the template.
   auto first = visor.Invoke("warmodwf", asbase::Json());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first->warm_start);
   EXPECT_GT(first->module_load_nanos, 0);
+  const uint64_t clones_before =
+      CounterValue("alloy_visor_snapshot_clones_total", "warmodwf");
 
   // A failed invocation destroys its WFD, draining the pool; the warmer
-  // boots a replacement through the factory — now with the learned profile.
+  // boots a replacement through the one boot path — a clone of the
+  // template.
   asbase::Json fail_params;
   fail_params.Set("fail", true);
   EXPECT_FALSE(visor.Invoke("warmodwf", fail_params).ok());
   ASSERT_EQ(wait_for_warm(), 1u);
+  EXPECT_GT(CounterValue("alloy_visor_snapshot_clones_total", "warmodwf"),
+            clones_before)
+      << "the warmer's replacement must be clone-booted";
 
   // The replacement arrives hot: the same run now loads zero modules.
-  auto replayed = visor.Invoke("warmodwf", asbase::Json());
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  EXPECT_TRUE(replayed->warm_start);
-  EXPECT_EQ(replayed->module_load_nanos, 0)
-      << "the pre-warm factory must replay the recorded module set";
+  auto hot = visor.Invoke("warmodwf", asbase::Json());
+  ASSERT_TRUE(hot.ok()) << hot.status().ToString();
+  EXPECT_TRUE(hot->warm_start);
+  EXPECT_EQ(hot->module_load_nanos, 0)
+      << "a clone carries the template's loaded modules";
+}
+
+TEST(VisorServingTest, WarmerFullBootsWhenSnapshotsAreOff) {
+  FunctionRegistry::Global().Register(
+      "serving.offwarm", [](FunctionContext& ctx) -> asbase::Status {
+        AS_RETURN_IF_ERROR(ctx.as().WriteWholeFile("/off.txt", Bytes("off")));
+        AS_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
+                            ctx.as().ReadWholeFile("/off.txt"));
+        ctx.SetResult(std::string(data.begin(), data.end()));
+        return asbase::OkStatus();
+      });
+  const std::string wf = "offwarmwf";
+  const uint64_t fallbacks0 =
+      CounterValue("alloy_visor_snapshot_fallback_boots_total", wf);
+  ::setenv("ALLOY_SNAPSHOT", "off", 1);
+  AsVisor visor;
+  WorkflowSpec spec;
+  spec.name = wf;
+  spec.stages.push_back(StageSpec{{FunctionSpec{"serving.offwarm", 1}}});
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 1;
+  options.min_warm = 1;
+  visor.RegisterWorkflow(spec, options);
+  ::unsetenv("ALLOY_SNAPSHOT");
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (visor.WarmWfdCount(wf).value_or(0) < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(visor.WarmWfdCount(wf).value_or(0), 1u);
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_fallback_boots_total", wf),
+            fallbacks0 + 1)
+      << "the warmer's boot is a full boot when capture is off";
+
+  // The full-booted WFD loads its modules on first use and serves.
+  auto result = visor.Invoke(wf, asbase::Json());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->warm_start);
+  EXPECT_FALSE(result->clone_start);
+  EXPECT_EQ(result->run.result, "off");
+  EXPECT_EQ(CounterValue("alloy_visor_snapshot_creates_total", wf), 0u);
 }
 
 // --------------------------------------------- cross-workflow queue fairness
