@@ -5,10 +5,11 @@
 # warmer, the watchdog pipeline, the flight-ring seqlock, and the
 # poller/timer/backpressure paths are the most thread-heavy code in the
 # tree, so they get the race detector even when the full TSan suite would
-# be too slow. The serving and core tests then run once more under ASan:
-# Invoke's flight phases hand the leased WFD, its lease and the WFD's raw
-# trace pointer from one function to the next, which is where a lifetime
-# bug would show.
+# be too slow. The serving, core and http tests then run once more under
+# ASan: Invoke's flight phases hand the leased WFD, its lease and the
+# WFD's raw trace pointer from one function to the next, which is where a
+# lifetime bug would show, and the one HTTP parser reads remote requests
+# and server responses alike.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build-ci)
 set -euo pipefail
@@ -50,12 +51,13 @@ ctest --test-dir "${BUILD}-tsan" -L http --output-on-failure
 ctest --test-dir "${BUILD}-tsan" -L core --output-on-failure
 ctest --test-dir "${BUILD}-tsan" -L fatfs --output-on-failure
 
-echo "==> serving + core tests under AddressSanitizer (${BUILD}-asan)"
+echo "==> serving + core + http tests under AddressSanitizer (${BUILD}-asan)"
 cmake -S . -B "${BUILD}-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DALLOY_SANITIZE=address >/dev/null
 cmake --build "${BUILD}-asan" -j "$(nproc)"
 ctest --test-dir "${BUILD}-asan" -L serving --output-on-failure
 ctest --test-dir "${BUILD}-asan" -L core --output-on-failure
+ctest --test-dir "${BUILD}-asan" -L http --output-on-failure
 
 echo "==> serving + dataplane + sharding + obs-overhead bench smoke (--quick)"
 (cd "${BUILD}" && ./bench/bench_serving --quick >/dev/null)

@@ -1,10 +1,10 @@
 #include "src/common/logging.h"
 
+#include <strings.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 namespace asbase {
 namespace {
@@ -20,32 +21,22 @@ namespace {
 std::mutex g_log_mutex;
 
 // Default level, overridable by ALLOY_LOG_LEVEL before any explicit
-// SetLogLevel call. Parsed once, on the first logging-API use.
+// SetLogLevel call. Parsed once, on the first logging-API use. A bad value
+// is reported straight to stderr: AS_LOG would re-enter Level().
 int InitialLevel() {
   const char* env = std::getenv("ALLOY_LOG_LEVEL");
   if (env == nullptr || *env == '\0') {
     return static_cast<int>(LogLevel::kWarn);
   }
-  if (std::isdigit(static_cast<unsigned char>(env[0]))) {
-    int value = std::atoi(env);
-    if (value >= static_cast<int>(LogLevel::kTrace) &&
-        value <= static_cast<int>(LogLevel::kFatal)) {
-      return value;
-    }
+  const std::optional<LogLevel> level = ParseLogLevel(env);
+  if (!level.has_value()) {
+    std::fprintf(stderr,
+                 "ALLOY_LOG_LEVEL=\"%s\" is not a log level (trace, debug, "
+                 "info, warn, error, fatal or 0-5); using warn\n",
+                 env);
     return static_cast<int>(LogLevel::kWarn);
   }
-  std::string name;
-  for (const char* c = env; *c != '\0'; ++c) {
-    name += static_cast<char>(std::tolower(static_cast<unsigned char>(*c)));
-  }
-  if (name == "trace") return static_cast<int>(LogLevel::kTrace);
-  if (name == "debug") return static_cast<int>(LogLevel::kDebug);
-  if (name == "info") return static_cast<int>(LogLevel::kInfo);
-  if (name == "warn" || name == "warning")
-    return static_cast<int>(LogLevel::kWarn);
-  if (name == "error") return static_cast<int>(LogLevel::kError);
-  if (name == "fatal") return static_cast<int>(LogLevel::kFatal);
-  return static_cast<int>(LogLevel::kWarn);
+  return static_cast<int>(*level);
 }
 
 std::atomic<int>& Level() {
@@ -102,6 +93,24 @@ uint64_t ThreadId() {
         std::hash<std::thread::id>{}(std::this_thread::get_id()));
   }();
   return tid;
+}
+
+std::optional<LogLevel> ParseLogLevel(std::string_view text) {
+  if (text.size() == 1 && text[0] >= '0' && text[0] <= '5') {
+    return static_cast<LogLevel>(text[0] - '0');
+  }
+  static constexpr std::pair<const char*, LogLevel> kNames[] = {
+      {"trace", LogLevel::kTrace}, {"debug", LogLevel::kDebug},
+      {"info", LogLevel::kInfo},   {"warn", LogLevel::kWarn},
+      {"warning", LogLevel::kWarn}, {"error", LogLevel::kError},
+      {"fatal", LogLevel::kFatal}};
+  for (const auto& [name, level] : kNames) {
+    if (text.size() == std::strlen(name) &&
+        strncasecmp(text.data(), name, text.size()) == 0) {
+      return level;
+    }
+  }
+  return std::nullopt;
 }
 
 void SetLogLevel(LogLevel level) {

@@ -2,13 +2,14 @@
 //
 // Logging goes to stderr so benchmark/table output on stdout stays parseable.
 // The level is process-global and defaults to kWarn so benches stay quiet;
-// the `ALLOY_LOG_LEVEL` env var ("trace".."fatal" or 0..5, read on first
-// use) overrides the default, and SetLogLevel overrides both.
+// the `ALLOY_LOG_LEVEL` env var (see ParseLogLevel, read on first use)
+// overrides the default, and SetLogLevel overrides both.
 
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,6 +31,11 @@ enum class LogLevel : int {
 
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
+
+// An `ALLOY_LOG_LEVEL` value: a level name in any case ("trace", "debug",
+// "info", "warn" or "warning", "error", "fatal") or a single digit 0-5.
+// Anything else ("3x", "9", "banana", " 2") is nullopt.
+std::optional<LogLevel> ParseLogLevel(std::string_view text);
 
 // Emits one formatted line; called by the LOG macro, not directly.
 void LogMessage(LogLevel level, std::string_view file, int line,

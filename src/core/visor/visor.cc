@@ -77,9 +77,6 @@ AsVisor::AsVisor(ShardIdentity shard)
           "alloy_visor_inflight", ShardLabels())) {
   flight_ = std::make_unique<asobs::FlightRecorder>(static_cast<size_t>(
       asbase::EnvInt64("ALLOY_FLIGHT_RING", kDefaultFlightRing)));
-  trace_ring_ = static_cast<size_t>(
-      asbase::EnvInt64("ALLOY_TRACE_RING", static_cast<int64_t>(kTraceRing)));
-  trace_threshold_ms_ = asbase::EnvInt64("ALLOY_TRACE_THRESHOLD_MS", 0);
   const char* blackbox_dir = std::getenv("ALLOY_BLACKBOX_DIR");
   blackbox_dir_ = blackbox_dir != nullptr && *blackbox_dir != '\0'
                       ? blackbox_dir
@@ -713,14 +710,15 @@ void AsVisor::AccountOutcome(const std::string& workflow_name,
 
     // Tail-based trace retention: keep the full span tree only for
     // invocations worth debugging — failures, timeouts, or runs over the
-    // latency threshold. threshold 0 retains everything (PR 1 behavior).
-    if (trace != nullptr && trace_ring_ > 0) {
-      const bool retain =
-          outcome != asobs::FlightOutcome::kOk || trace_threshold_ms_ == 0 ||
-          total_nanos > trace_threshold_ms_ * 1'000'000;
+    // latency threshold. threshold 0 retains everything.
+    const int64_t threshold_ms = serving_.trace_threshold_ms;
+    if (trace != nullptr && serving_.trace_ring > 0) {
+      const bool retain = outcome != asobs::FlightOutcome::kOk ||
+                          threshold_ms == 0 ||
+                          total_nanos > threshold_ms * 1'000'000;
       if (retain) {
         entry.traces.push_back(std::move(trace));
-        while (entry.traces.size() > trace_ring_) {
+        while (entry.traces.size() > serving_.trace_ring) {
           entry.traces.pop_front();
         }
         traces_retained_->Add(1);
@@ -1065,14 +1063,6 @@ asbase::Status AsVisor::StartServing(const ServingOptions& serving) {
   }
   serving_ = serving;
   draining_ = false;
-  // Tail-retention knobs: 0 / -1 mean "keep the current setting" (env
-  // override or the construction default).
-  if (serving.trace_ring > 0) {
-    trace_ring_ = serving.trace_ring;
-  }
-  if (serving.trace_threshold_ms >= 0) {
-    trace_threshold_ms_ = serving.trace_threshold_ms;
-  }
   return asbase::OkStatus();
 }
 
@@ -1128,12 +1118,12 @@ bool AsVisor::draining() const {
 
 size_t AsVisor::trace_ring_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return trace_ring_;
+  return serving_.trace_ring;
 }
 
 int64_t AsVisor::trace_threshold_ms() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return trace_threshold_ms_;
+  return serving_.trace_threshold_ms;
 }
 
 std::vector<std::string> AsVisor::WorkflowNames() const {

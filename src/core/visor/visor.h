@@ -112,6 +112,9 @@ class AsVisor {
     int64_t slo_latency_ms = 0;
   };
 
+  // Default trace ring depth per workflow served by /trace.
+  static constexpr size_t kTraceRing = 8;
+
   // Watchdog-wide serving knobs (admission control).
   struct ServingOptions {
     // Global in-flight invocation cap across all workflows — the one
@@ -122,15 +125,13 @@ class AsVisor {
     // EWMA exists yet; once it does, Retry-After is computed from the
     // predicted wait instead.
     int retry_after_seconds = 1;
-    // Tail-based trace retention (DESIGN.md §11). `trace_ring` replaces the
-    // per-workflow retained-trace depth; 0 = keep the visor's current
-    // setting (ALLOY_TRACE_RING env, else kTraceRing). `trace_threshold_ms`
-    // retains a full span tree only for invocations that fail, time out, or
-    // run longer than the threshold; 0 = retain every trace (the PR 1
-    // behavior); -1 = keep the current setting (ALLOY_TRACE_THRESHOLD_MS
-    // env, else 0).
-    size_t trace_ring = 0;
-    int64_t trace_threshold_ms = -1;
+    // Tail-based trace retention (DESIGN.md §11). `trace_ring` is the
+    // per-workflow retained-trace depth; 0 retains none.
+    // `trace_threshold_ms` retains a full span tree only for invocations
+    // that fail, time out, or run longer than the threshold; 0 = retain
+    // every trace.
+    size_t trace_ring = kTraceRing;
+    int64_t trace_threshold_ms = 0;
   };
 
   // Serving-path context for one invocation (watchdog admission).
@@ -186,10 +187,10 @@ class AsVisor {
   std::shared_ptr<WfdPool> MigrateOut(const std::string& workflow_name);
 
   // Receiving side of the warm-pool handoff: parks the WFDs into
-  // `workflow_name`'s pool (evicting past capacity). WFDs built for the
-  // old shard keep their old core affinity — functional, re-pinned only
-  // when they age out; the alternative (rebooting them) is the cold start
-  // migration exists to avoid.
+  // `workflow_name`'s pool (evicting past capacity). A WFD's stage workers
+  // sit on cores placed from its own round-robin home core, not from its
+  // shard, so a handed-off WFD serves here unchanged; rebooting it would be
+  // the cold start migration exists to avoid.
   void AdoptWarmWfds(const std::string& workflow_name,
                      std::vector<std::unique_ptr<Wfd>> wfds);
 
@@ -314,9 +315,6 @@ class AsVisor {
   // Warm WFDs currently parked for a workflow (tests, ops introspection).
   asbase::Result<size_t> WarmWfdCount(const std::string& workflow_name) const;
 
-  // Trace ring depth per workflow served by /trace.
-  static constexpr size_t kTraceRing = 8;
-
  private:
   // How a registration's WFDs boot (DESIGN.md §14). The pool warmer's
   // factory holds a copy, which may outlive the registration.
@@ -373,7 +371,7 @@ class AsVisor {
     // drives the predicted-wait admission decision and Retry-After.
     double service_ewma_nanos = 0;
     asbase::Histogram latency;
-    // Last kTraceRing invocation traces, oldest first.
+    // Last ServingOptions::trace_ring invocation traces, oldest first.
     std::deque<std::shared_ptr<const asobs::Trace>> traces;
     // Admission-side series, cached like Registration's.
     asobs::Counter* rejections = nullptr;
@@ -530,10 +528,6 @@ class AsVisor {
   asobs::Counter* flight_dropped_ = nullptr;
   asobs::Counter* traces_retained_ = nullptr;
   asobs::Counter* blackbox_counter_ = nullptr;
-  // Tail-retention knobs, guarded by mutex_ (StartServing may override the
-  // env/default values).
-  size_t trace_ring_ = kTraceRing;
-  int64_t trace_threshold_ms_ = 0;
   std::string blackbox_dir_;  // immutable after construction
   std::atomic<uint64_t> blackbox_seq_{0};
 };

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "src/common/clock.h"
-#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/core/visor/visor_router.h"
 #include "src/obs/rebalance.h"
@@ -25,34 +24,7 @@ std::string SlicesToString(const std::vector<size_t>& slices) {
   return out;
 }
 
-// A ratio knob, given in the environment as an integer percent.
-double Percent(const char* name, double fallback) {
-  return static_cast<double>(asbase::EnvInt64(
-             name, static_cast<int64_t>(std::llround(fallback * 100)))) /
-         100.0;
-}
-
 }  // namespace
-
-RebalancerOptions RebalancerOptions::FromEnv(RebalancerOptions base) {
-  base.enabled = asbase::EnvBool("ALLOY_REBALANCE", base.enabled);
-  base.interval_ms =
-      asbase::EnvInt64("ALLOY_REBALANCE_INTERVAL_MS", base.interval_ms);
-  base.cooldown_ms =
-      asbase::EnvInt64("ALLOY_REBALANCE_COOLDOWN_MS", base.cooldown_ms);
-  base.reslice_deadband = static_cast<size_t>(std::max<int64_t>(
-      1, asbase::EnvInt64("ALLOY_REBALANCE_DEADBAND",
-                          static_cast<int64_t>(base.reslice_deadband))));
-  base.migrate = asbase::EnvBool("ALLOY_REBALANCE_MIGRATE", base.migrate);
-  base.migrate_ratio =
-      Percent("ALLOY_REBALANCE_MIGRATE_RATIO_PCT", base.migrate_ratio);
-  base.scale = asbase::EnvBool("ALLOY_REBALANCE_SCALE", base.scale);
-  base.scale_up_utilization =
-      Percent("ALLOY_REBALANCE_SCALE_UP_PCT", base.scale_up_utilization);
-  base.scale_down_utilization =
-      Percent("ALLOY_REBALANCE_SCALE_DOWN_PCT", base.scale_down_utilization);
-  return base;
-}
 
 std::vector<size_t> DemandWeightedSlices(size_t total,
                                          const std::vector<double>& weights) {
@@ -280,7 +252,7 @@ bool ShardRebalancer::MaybeReslice(
     current[i] = loads[i].max_inflight;
     const size_t delta = target[i] > current[i] ? target[i] - current[i]
                                                 : current[i] - target[i];
-    if (delta >= options_.reslice_deadband) {
+    if (delta >= std::max<size_t>(1, options_.reslice_deadband)) {
       outside_deadband = true;
     }
   }

@@ -27,11 +27,13 @@
 // counted (alloy_rebalance_*_total) and logged to asobs::RebalanceLog,
 // which rides along in /debug/flight and black-box snapshots.
 //
-// Only the admission *budget* moves — worker threads are fixed per shard at
-// StartWatchdog (asbase::ThreadPool cannot resize). max_inflight is the
-// binding constraint under saturation, so shifting it shifts real capacity;
-// the thread slice only caps how much of that budget can execute truly in
-// parallel.
+// Only the admission *budget* moves. Shards own no threads: an admitted
+// invocation runs on the thread that dispatched it, and its stage workers
+// sit on the WFD's own cores, so max_inflight is the binding constraint
+// under saturation and shifting it shifts real capacity.
+//
+// Tuning is RouterOptions::rebalancer; no environment variable overrides
+// it.
 
 #ifndef SRC_CORE_VISOR_VISOR_REBALANCER_H_
 #define SRC_CORE_VISOR_VISOR_REBALANCER_H_
@@ -50,8 +52,8 @@ namespace alloy {
 class AsVisorRouter;
 
 struct RebalancerOptions {
-  // Master switch: off = the router behaves exactly as before this PR
-  // (static even slices, no migration, fixed shard count).
+  // Master switch: off = static even slices, no migration, fixed shard
+  // count.
   bool enabled = false;
   // Control-loop period. Each tick samples load and applies at most one
   // action.
@@ -60,7 +62,8 @@ struct RebalancerOptions {
   int64_t cooldown_ms = 1000;
   // Reslice dead band, in in-flight slots: act only when some shard's
   // demand-weighted target differs from its current slice by at least this
-  // much. >= 1; 2 (default) means a one-slot wobble never reslices.
+  // much. 0 counts as 1; 2 (default) means a one-slot wobble never
+  // reslices.
   size_t reslice_deadband = 2;
   // Allow live workflow migration off the hottest shard.
   bool migrate = true;
@@ -72,15 +75,6 @@ struct RebalancerOptions {
   // Mesh-wide (inflight + queued) / max_inflight thresholds for scaling.
   double scale_up_utilization = 0.9;
   double scale_down_utilization = 0.25;
-
-  // Environment overrides, applied on top of `base` (the programmatic
-  // config): ALLOY_REBALANCE (0/1 -> enabled), ALLOY_REBALANCE_INTERVAL_MS,
-  // ALLOY_REBALANCE_COOLDOWN_MS, ALLOY_REBALANCE_DEADBAND,
-  // ALLOY_REBALANCE_MIGRATE (0/1), ALLOY_REBALANCE_MIGRATE_RATIO_PCT,
-  // ALLOY_REBALANCE_SCALE (0/1), ALLOY_REBALANCE_SCALE_UP_PCT,
-  // ALLOY_REBALANCE_SCALE_DOWN_PCT. Ratios are percent integers (200 =
-  // 2.0x) so the env stays integer-only like every other ALLOY_* knob.
-  static RebalancerOptions FromEnv(RebalancerOptions base);
 };
 
 // Demand-weighted division of `total` slots across `weights` (each >= 0):

@@ -154,7 +154,7 @@ AsVisorRouter::AsVisorRouter(RouterOptions options) {
                     ? shard_count
                     : std::min(options.max_shards, kMaxShards);
   max_shards_ = std::max(max_shards_, shard_count);
-  rebalancer_options_ = RebalancerOptions::FromEnv(options.rebalancer);
+  rebalancer_options_ = options.rebalancer;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(MakeShard(i));

@@ -60,8 +60,7 @@ struct RouterOptions {
   // hard shard limit.
   size_t min_shards = 1;
   size_t max_shards = 0;
-  // Load-aware rebalancing (off by default; ALLOY_REBALANCE=1 and friends
-  // override, see RebalancerOptions::FromEnv). The control loop runs only
+  // Load-aware rebalancing (off by default). The control loop runs only
   // while the watchdog is up.
   RebalancerOptions rebalancer;
 };

@@ -1,22 +1,18 @@
 // Minimal HTTP/1.1 for the as-visor watchdog and gateway (§3.3) and the
 // `http-server` synthetic benchmark.
 //
-// The message layer is transport-agnostic via `ByteStream`, so the same
-// parser serves (a) host TCP sockets — the watchdog listens on the host — and
-// (b) asnet::TcpConnection — the LibOS `http-server` workload answers through
-// the user-space stack, exactly like Figure 5's as-std HTTP client.
-//
 // Supported subset: request line + headers + Content-Length bodies,
 // case-insensitive Connection token lists (HTTP/1.0 defaults to close),
-// status lines on responses. No chunked encoding.
+// status lines on responses. No chunked encoding. Requests and responses
+// are both read by the one incremental parser in src/http/parser.h.
 //
 // The server is an epoll reactor (src/http/server.cc): non-blocking
-// accept + per-connection incremental parsing (src/http/parser.h) with
-// HTTP/1.1 keep-alive and pipelining, buffered non-blocking writes, a
-// connection cap with idle reaping, and a bounded worker pool for handler
-// execution — no thread-per-connection anywhere. The blocking
-// ReadRequest/ReadResponse helpers remain for clients and for serving over
-// the user-space netstack.
+// accept + per-connection incremental parsing with HTTP/1.1 keep-alive and
+// pipelining, buffered non-blocking writes, a connection cap with idle
+// reaping, and a bounded worker pool for handler execution — no
+// thread-per-connection anywhere. `HttpCall` is the one-shot client: it
+// writes a request on a host TCP socket and feeds the reply's bytes to a
+// `ResponseParser`.
 
 #ifndef SRC_HTTP_HTTP_H_
 #define SRC_HTTP_HTTP_H_
@@ -31,42 +27,8 @@
 
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
-#include "src/netstack/stack.h"
 
 namespace ashttp {
-
-// Transport the HTTP layer reads/writes.
-class ByteStream {
- public:
-  virtual ~ByteStream() = default;
-  virtual asbase::Result<size_t> Read(std::span<uint8_t> out) = 0;
-  virtual asbase::Status Write(std::span<const uint8_t> data) = 0;
-};
-
-// Host-kernel TCP socket stream.
-class HostStream : public ByteStream {
- public:
-  explicit HostStream(int fd) : fd_(fd) {}
-  ~HostStream() override;
-  asbase::Result<size_t> Read(std::span<uint8_t> out) override;
-  asbase::Status Write(std::span<const uint8_t> data) override;
-  int fd() const { return fd_; }
-
- private:
-  int fd_;
-};
-
-// Stream over a user-space netstack connection.
-class AsnetStream : public ByteStream {
- public:
-  explicit AsnetStream(asnet::TcpConnection* connection)
-      : connection_(connection) {}
-  asbase::Result<size_t> Read(std::span<uint8_t> out) override;
-  asbase::Status Write(std::span<const uint8_t> data) override;
-
- private:
-  asnet::TcpConnection* connection_;
-};
 
 struct HttpRequest {
   std::string method = "GET";
@@ -86,33 +48,24 @@ struct HttpResponse {
 std::string Serialize(const HttpRequest& request);
 std::string Serialize(const HttpResponse& response);
 
-// Reads one message from the stream (blocking). Request parsing shares the
-// reactor's hardened incremental parser; bodies on this path are bounded at
-// 64 MiB.
-asbase::Result<HttpRequest> ReadRequest(ByteStream& stream);
-asbase::Result<HttpResponse> ReadResponse(ByteStream& stream);
-
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-// Tuning for the edge reactor. The environment fallbacks let deployments
-// (and benches) size the edge without code changes; explicit options win.
+// Tuning for the edge reactor.
 struct HttpServerOptions {
   // Number of epoll reactor threads. Each owns a disjoint set of
   // connections; the listener lives on reactor 0 and accepted connections
-  // are dealt round-robin. [env ALLOY_EDGE_REACTORS]
+  // are dealt round-robin.
   size_t reactors = 1;
   // Handler worker threads. Parsed requests execute here, so a slow
   // invocation occupies a worker, never a reactor. 0 = max(64, 4 ×
-  // hardware concurrency). [env ALLOY_EDGE_WORKERS]
+  // hardware concurrency).
   size_t workers = 0;
   // Concurrent connection cap. Accepts past the cap answer 503 and close.
-  // [env ALLOY_EDGE_MAX_CONNS]
   size_t max_connections = 4096;
   // Connections idle (no partial request, nothing in flight) longer than
-  // this are reaped. 0 disables. [env ALLOY_EDGE_IDLE_TIMEOUT_MS]
+  // this are reaped. 0 disables.
   int64_t idle_timeout_ms = 60000;
   // Per-request parse limits (431/413 + close past them).
-  // [env ALLOY_EDGE_MAX_BODY_BYTES for the body bound]
   size_t max_header_bytes = 64u << 10;
   size_t max_body_bytes = 8u << 20;
   // Per-connection backpressure: stop reading while this many parsed
@@ -120,9 +73,6 @@ struct HttpServerOptions {
   // bytes await the socket.
   size_t max_pipeline_depth = 32;
   size_t max_buffered_out = 1u << 20;
-
-  // Defaults with any ALLOY_EDGE_* environment overrides applied.
-  static HttpServerOptions FromEnv();
 };
 
 namespace internal {
@@ -134,9 +84,7 @@ struct EdgeConnection;  // src/http/server.cc
 class HttpServer {
  public:
   // port 0 picks a free port; see port() after Start().
-  // The single-argument form applies HttpServerOptions::FromEnv().
-  explicit HttpServer(HttpHandler handler);
-  HttpServer(HttpHandler handler, HttpServerOptions options);
+  explicit HttpServer(HttpHandler handler, HttpServerOptions options = {});
   ~HttpServer();
 
   asbase::Status Start(uint16_t port = 0);
@@ -170,10 +118,6 @@ class HttpServer {
 // One-shot client against a host TCP server.
 asbase::Result<HttpResponse> HttpCall(const std::string& host, uint16_t port,
                                       const HttpRequest& request);
-
-// One-shot client over an established asnet connection.
-asbase::Result<HttpResponse> HttpCallOver(asnet::TcpConnection& connection,
-                                          const HttpRequest& request);
 
 }  // namespace ashttp
 

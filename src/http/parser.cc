@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <memory>
-
-#include "src/http/http.h"
 
 namespace ashttp {
 namespace {
@@ -31,35 +28,63 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-// Parses "METHOD SP target SP HTTP/x.y" plus the header lines into
-// `*request`. `head` excludes the terminating blank line.
-asbase::Status ParseHead(std::string_view head, HttpRequest* request) {
-  const size_t line_end = head.find("\r\n");
-  const std::string_view request_line =
-      line_end == std::string_view::npos ? head : head.substr(0, line_end);
-  const size_t sp1 = request_line.find(' ');
+// "METHOD SP target SP HTTP/x.y"
+asbase::Status ParseStartLine(std::string_view line, HttpRequest* request) {
+  const size_t sp1 = line.find(' ');
   const size_t sp2 = sp1 == std::string_view::npos
                          ? std::string_view::npos
-                         : request_line.find(' ', sp1 + 1);
+                         : line.find(' ', sp1 + 1);
   if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
     return asbase::InvalidArgument("malformed request line");
   }
-  request->method = std::string(request_line.substr(0, sp1));
-  request->target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  request->version = std::string(Trim(request_line.substr(sp2 + 1)));
+  request->method = std::string(line.substr(0, sp1));
+  request->target = std::string(line.substr(sp1 + 1, sp2 - sp1 - 1));
+  request->version = std::string(Trim(line.substr(sp2 + 1)));
   if (request->method.empty() || request->target.empty()) {
     return asbase::InvalidArgument("malformed request line");
   }
   if (request->version.rfind("HTTP/", 0) != 0) {
     return asbase::InvalidArgument("malformed HTTP version token");
   }
+  return asbase::OkStatus();
+}
 
-  size_t pos = line_end == std::string_view::npos ? head.size() : line_end + 2;
+// "HTTP/x.y SP 3DIGIT SP reason", status in 100-599. A missing reason
+// phrase is accepted; clients ignore it anyway (RFC 9112 §4).
+asbase::Status ParseStartLine(std::string_view line, HttpResponse* response) {
+  const size_t sp = line.find(' ');
+  if (sp == std::string_view::npos || line.rfind("HTTP/", 0) != 0) {
+    return asbase::InvalidArgument("malformed status line");
+  }
+  const std::string_view code = line.substr(sp + 1, 3);
+  const std::string_view rest = line.substr(std::min(line.size(), sp + 4));
+  if (code.size() != 3 ||
+      !std::all_of(code.begin(), code.end(),
+                   [](char c) { return c >= '0' && c <= '9'; }) ||
+      (!rest.empty() && rest.front() != ' ')) {
+    return asbase::InvalidArgument("malformed status line");
+  }
+  const int status =
+      (code[0] - '0') * 100 + (code[1] - '0') * 10 + (code[2] - '0');
+  if (status < 100 || status > 599) {
+    return asbase::InvalidArgument("status code " + std::string(code) +
+                                   " outside 100-599");
+  }
+  response->status = status;
+  response->reason = std::string(Trim(rest));
+  return asbase::OkStatus();
+}
+
+// Parses the start line plus the header lines into `*message`. `head`
+// excludes the terminating blank line.
+template <typename Message>
+asbase::Status ParseHead(std::string_view head, Message* message) {
+  const size_t line_end = std::min(head.find("\r\n"), head.size());
+  AS_RETURN_IF_ERROR(ParseStartLine(head.substr(0, line_end), message));
+
+  size_t pos = line_end + 2;
   while (pos < head.size()) {
-    size_t eol = head.find("\r\n", pos);
-    if (eol == std::string_view::npos) {
-      eol = head.size();
-    }
+    const size_t eol = std::min(head.find("\r\n", pos), head.size());
     const std::string_view line = head.substr(pos, eol - pos);
     pos = eol + 2;
     const size_t colon = line.find(':');
@@ -67,7 +92,7 @@ asbase::Status ParseHead(std::string_view head, HttpRequest* request) {
       return asbase::InvalidArgument("malformed header line: " +
                                      std::string(line));
     }
-    request->headers[LowerCopy(line.substr(0, colon))] =
+    message->headers[LowerCopy(line.substr(0, colon))] =
         std::string(Trim(line.substr(colon + 1)));
   }
   return asbase::OkStatus();
@@ -133,33 +158,37 @@ bool WantsClose(const HttpRequest& request) {
   return request.version != "HTTP/1.1";
 }
 
-asbase::Status RequestParser::Feed(std::string_view data,
-                                   std::vector<HttpRequest>* out) {
+template <typename Message>
+asbase::Status MessageParser<Message>::Feed(std::string_view data,
+                                            std::vector<Message>* out) {
   if (!poisoned_.ok()) {
     return poisoned_;
   }
   buffer_.append(data.data(), data.size());
   while (true) {
-    const size_t completed_before = out->size();
-    asbase::Status status = state_ == State::kHead ? ConsumeHead(out)
-                                                   : ConsumeBody(out);
+    if (state_ == State::kBody) {
+      ConsumeBody(out);
+      if (state_ == State::kBody) {
+        return asbase::OkStatus();  // body still short; buffer_ is empty
+      }
+      continue;
+    }
+    const size_t buffered = buffer_.size();
+    asbase::Status status = ConsumeHead(out);
     if (!status.ok()) {
       poisoned_ = status;
       return status;
     }
-    // Stop once a pass makes no progress: partial head or short body.
-    if (out->size() == completed_before &&
-        (state_ == State::kHead || buffer_.empty())) {
-      return asbase::OkStatus();
-    }
-    if (buffer_.empty() && state_ == State::kHead) {
+    // No progress: the head is still partial (or nothing is left).
+    if (state_ == State::kHead && buffer_.size() == buffered) {
       return asbase::OkStatus();
     }
   }
 }
 
-asbase::Status RequestParser::ConsumeHead(std::vector<HttpRequest>* out) {
-  // Ignore stray CRLF between pipelined requests (RFC 7230 §3.5).
+template <typename Message>
+asbase::Status MessageParser<Message>::ConsumeHead(std::vector<Message>* out) {
+  // Ignore stray CRLF between pipelined messages (RFC 9112 §2.2).
   size_t skip = 0;
   while (skip + 1 < buffer_.size() && buffer_[skip] == '\r' &&
          buffer_[skip + 1] == '\n') {
@@ -169,7 +198,7 @@ asbase::Status RequestParser::ConsumeHead(std::vector<HttpRequest>* out) {
     buffer_.erase(0, skip);
   }
   const size_t end = buffer_.find("\r\n\r\n");
-  if (end == std::string_view::npos) {
+  if (end == std::string::npos) {
     if (buffer_.size() > limits_.max_header_bytes) {
       return asbase::ResourceExhausted("header block larger than limit");
     }
@@ -179,48 +208,53 @@ asbase::Status RequestParser::ConsumeHead(std::vector<HttpRequest>* out) {
     return asbase::ResourceExhausted("header block larger than limit");
   }
 
-  auto request = std::make_unique<HttpRequest>();
-  request->headers.clear();
   AS_RETURN_IF_ERROR(
-      ParseHead(std::string_view(buffer_).substr(0, end), request.get()));
-
+      ParseHead(std::string_view(buffer_).substr(0, end), &current_));
   size_t content_length = 0;
-  const auto it = request->headers.find("content-length");
-  if (it != request->headers.end()) {
+  const auto it = current_.headers.find("content-length");
+  if (it != current_.headers.end()) {
     AS_ASSIGN_OR_RETURN(content_length,
                         ParseDecimal(it->second, limits_.max_body_bytes));
   }
   buffer_.erase(0, end + 4);
   if (content_length == 0) {
-    out->push_back(std::move(*request));
+    Emit(out);
     return asbase::OkStatus();
   }
-  current_ = std::move(request);
   body_target_ = content_length;
   state_ = State::kBody;
   return asbase::OkStatus();
 }
 
-asbase::Status RequestParser::ConsumeBody(std::vector<HttpRequest>* out) {
-  const size_t need = body_target_ - current_->body.size();
-  const size_t take = std::min(need, buffer_.size());
-  current_->body.append(buffer_, 0, take);
+template <typename Message>
+void MessageParser<Message>::ConsumeBody(std::vector<Message>* out) {
+  const size_t take =
+      std::min(body_target_ - current_.body.size(), buffer_.size());
+  current_.body.append(buffer_, 0, take);
   buffer_.erase(0, take);
-  if (current_->body.size() == body_target_) {
-    out->push_back(std::move(*current_));
-    current_.reset();
-    body_target_ = 0;
-    state_ = State::kHead;
+  if (current_.body.size() == body_target_) {
+    Emit(out);
   }
-  return asbase::OkStatus();
 }
 
-int RequestParser::StatusForParseError(const asbase::Status& error) {
+template <typename Message>
+void MessageParser<Message>::Emit(std::vector<Message>* out) {
+  out->push_back(std::move(current_));
+  current_ = Message{};
+  body_target_ = 0;
+  state_ = State::kHead;
+}
+
+template <typename Message>
+int MessageParser<Message>::StatusForParseError(const asbase::Status& error) {
   if (error.code() == asbase::ErrorCode::kResourceExhausted) {
     // Distinguish "head too big" from "declared body too big" by message.
     return error.ToString().find("header") != std::string::npos ? 431 : 413;
   }
   return 400;
 }
+
+template class MessageParser<HttpRequest>;
+template class MessageParser<HttpResponse>;
 
 }  // namespace ashttp

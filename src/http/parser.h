@@ -1,10 +1,17 @@
-// Incremental HTTP/1.x request parser for the epoll edge reactor.
+// Incremental HTTP/1.x message parser — the one HTTP parser in the tree.
 //
-// The reactor feeds whatever bytes `recv` produced into `RequestParser::
-// Feed`, which carries head/body state across calls — the non-blocking
-// replacement for the old ReadHead/ReadBody pair that blocked a dedicated
-// thread per connection. One Feed may complete zero requests (partial
-// message), one, or several (pipelined HTTP/1.1), in arrival order.
+// The edge reactor feeds whatever bytes `recv` produced into a
+// `RequestParser`; `HttpCall` (and any raw client) feeds response bytes into
+// a `ResponseParser`. Both carry head/body state across calls. One Feed may
+// complete zero messages (partial), one, or several (pipelined HTTP/1.1), in
+// arrival order; bytes past the last complete message stay buffered for the
+// next Feed.
+//
+// Requests and responses share everything except the start line (RFC 9112
+// §2.1): head splitting, header lines, Content-Length framing, limits and
+// poisoning. A request starts with "METHOD SP target SP HTTP/x.y"; a
+// response with "HTTP/x.y SP 3DIGIT SP reason", the status in 100–599. A
+// message without Content-Length has an empty body (no chunked encoding).
 //
 // Hardened against remote input by construction:
 //   * `Content-Length` is validated as a plain decimal token (ParseDecimal)
@@ -21,16 +28,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/http/http.h"
 
 namespace ashttp {
-
-struct HttpRequest;
 
 // Validated decimal token for numbers that arrive from the network
 // (Content-Length, x-queue-budget-ms, query cursors). Surrounding blanks
@@ -50,26 +55,30 @@ bool WantsClose(const HttpRequest& request);
 // "keep-alive").
 bool HasConnectionToken(std::string_view header_value, std::string_view token);
 
-class RequestParser {
+// `Message` is HttpRequest or HttpResponse (explicitly instantiated in
+// parser.cc; use the aliases below).
+template <typename Message>
+class MessageParser {
  public:
   struct Limits {
     size_t max_header_bytes = 64u << 10;
     size_t max_body_bytes = 8u << 20;
   };
 
-  RequestParser() : RequestParser(Limits{}) {}
-  explicit RequestParser(Limits limits) : limits_(limits) {}
+  MessageParser() : MessageParser(Limits{}) {}
+  explicit MessageParser(Limits limits) : limits_(limits) {}
 
-  // Consumes `data`, appending every request it completes to `*out`.
+  // Consumes `data`, appending every message it completes to `*out`.
   // On error the parser is poisoned (every later Feed returns the same
-  // error) and the connection should answer `StatusForParseError` and
-  // close. Error codes: kInvalidArgument = malformed request line, header,
-  // or Content-Length; kResourceExhausted = header block or declared body
-  // over the limits.
-  asbase::Status Feed(std::string_view data, std::vector<HttpRequest>* out);
+  // error); a server should answer `StatusForParseError` and close. Error
+  // codes: kInvalidArgument = malformed start line, header, or
+  // Content-Length; kResourceExhausted = header block or declared body over
+  // the limits.
+  asbase::Status Feed(std::string_view data, std::vector<Message>* out);
 
-  // True between messages: no partial request buffered. Idle connections in
-  // this state can be reaped without cutting a half-delivered request.
+  // True between messages: no partial message buffered. Idle connections in
+  // this state can be reaped without cutting a half-delivered request, and
+  // a client that reads EOF here was not owed any bytes.
   bool idle() const { return state_ == State::kHead && buffer_.empty(); }
 
   // Maps a Feed error to the HTTP status to answer before closing:
@@ -80,18 +89,25 @@ class RequestParser {
  private:
   enum class State { kHead, kBody };
 
-  // Tries to cut one complete head off buffer_; moves to kBody (or emits a
-  // body-less request) when the blank line is present.
-  asbase::Status ConsumeHead(std::vector<HttpRequest>* out);
-  asbase::Status ConsumeBody(std::vector<HttpRequest>* out);
+  // Tries to cut one complete head off buffer_ into current_; moves to
+  // kBody, or emits a body-less message, when the blank line is present.
+  asbase::Status ConsumeHead(std::vector<Message>* out);
+  void ConsumeBody(std::vector<Message>* out);
+  void Emit(std::vector<Message>* out);
 
   Limits limits_;
   State state_ = State::kHead;
   std::string buffer_;  // unconsumed head bytes / short body remainder
-  std::unique_ptr<HttpRequest> current_;  // head parsed, body incomplete
+  Message current_;     // head parsed, body incomplete (kBody)
   size_t body_target_ = 0;
   asbase::Status poisoned_ = asbase::OkStatus();
 };
+
+extern template class MessageParser<HttpRequest>;
+extern template class MessageParser<HttpResponse>;
+
+using RequestParser = MessageParser<HttpRequest>;
+using ResponseParser = MessageParser<HttpResponse>;
 
 }  // namespace ashttp
 

@@ -33,7 +33,6 @@
 #include <unordered_map>
 
 #include "src/common/clock.h"
-#include "src/common/env.h"
 #include "src/common/logging.h"
 #include "src/http/http.h"
 #include "src/http/parser.h"
@@ -526,26 +525,6 @@ class EdgeReactor {
 };
 
 }  // namespace internal
-
-HttpServerOptions HttpServerOptions::FromEnv() {
-  HttpServerOptions options;
-  auto size_knob = [](const char* name, size_t fallback) {
-    return static_cast<size_t>(
-        asbase::EnvInt64(name, static_cast<int64_t>(fallback)));
-  };
-  options.reactors = std::max<size_t>(1, size_knob("ALLOY_EDGE_REACTORS", 1));
-  options.workers = size_knob("ALLOY_EDGE_WORKERS", 0);
-  options.max_connections = std::max<size_t>(
-      1, size_knob("ALLOY_EDGE_MAX_CONNS", options.max_connections));
-  options.idle_timeout_ms = asbase::EnvInt64("ALLOY_EDGE_IDLE_TIMEOUT_MS",
-                                             options.idle_timeout_ms);
-  options.max_body_bytes =
-      size_knob("ALLOY_EDGE_MAX_BODY_BYTES", options.max_body_bytes);
-  return options;
-}
-
-HttpServer::HttpServer(HttpHandler handler)
-    : HttpServer(std::move(handler), HttpServerOptions::FromEnv()) {}
 
 HttpServer::HttpServer(HttpHandler handler, HttpServerOptions options)
     : handler_(std::move(handler)), options_(options) {

@@ -17,6 +17,7 @@
 #include "src/common/env.h"
 #include "src/common/histogram.h"
 #include "src/common/json.h"
+#include "src/common/logging.h"
 #include "src/common/queue.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -62,6 +63,19 @@ TEST(EnvTest, BooleansAcceptWordsAndFallBackOnJunk) {
   EXPECT_TRUE(EnvBool(knob, true));
   EXPECT_FALSE(EnvBool(knob, false));
   ::unsetenv(knob);
+}
+
+TEST(LogLevelTest, ParsesNamesAndSingleDigitsOnly) {
+  EXPECT_EQ(ParseLogLevel("debug"), LogLevel::kDebug);
+  EXPECT_EQ(ParseLogLevel("WARNING"), LogLevel::kWarn);
+  EXPECT_EQ(ParseLogLevel("Error"), LogLevel::kError);
+  EXPECT_EQ(ParseLogLevel("2"), LogLevel::kInfo);
+  EXPECT_EQ(ParseLogLevel("0"), LogLevel::kTrace);
+  EXPECT_EQ(ParseLogLevel("5"), LogLevel::kFatal);
+  // The old atoi parse took "3x" as 3 and let the rest fall back silently.
+  for (const char* bad : {"3x", "9", "banana", " 2", "", "-1", "warnings"}) {
+    EXPECT_EQ(ParseLogLevel(bad), std::nullopt) << "value \"" << bad << "\"";
+  }
 }
 
 // ---------------------------------------------------------------- Status

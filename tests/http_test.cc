@@ -13,39 +13,27 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
+#include <deque>
 #include <thread>
 
 #include "src/http/http.h"
 #include "src/http/parser.h"
+#include "src/netstack/stack.h"
 #include "src/obs/metrics.h"
 
 namespace ashttp {
 namespace {
 
-// In-memory ByteStream for parser tests.
-class MemoryStream : public ByteStream {
- public:
-  explicit MemoryStream(std::string data) : data_(std::move(data)) {}
-
-  asbase::Result<size_t> Read(std::span<uint8_t> out) override {
-    // Dribble bytes a few at a time to exercise incremental parsing.
-    const size_t n = std::min({out.size(), data_.size() - pos_, size_t{7}});
-    std::memcpy(out.data(), data_.data() + pos_, n);
-    pos_ += n;
-    return n;
+// Feeds `wire` to `parser` seven bytes at a time, so every head/body
+// boundary is crossed mid-feed; returns the messages it completed.
+template <typename Message>
+asbase::Status FeedInSevens(MessageParser<Message>& parser,
+                            std::string_view wire, std::vector<Message>* out) {
+  for (size_t pos = 0; pos < wire.size(); pos += 7) {
+    AS_RETURN_IF_ERROR(parser.Feed(wire.substr(pos, 7), out));
   }
-  asbase::Status Write(std::span<const uint8_t> data) override {
-    written_.append(reinterpret_cast<const char*>(data.data()), data.size());
-    return asbase::OkStatus();
-  }
-  const std::string& written() const { return written_; }
-
- private:
-  std::string data_;
-  size_t pos_ = 0;
-  std::string written_;
-};
+  return asbase::OkStatus();
+}
 
 TEST(HttpParseTest, RequestRoundTrip) {
   HttpRequest request;
@@ -54,13 +42,14 @@ TEST(HttpParseTest, RequestRoundTrip) {
   request.headers["x-workflow"] = "wc";
   request.body = "{\"input\":\"/data/in.txt\"}";
 
-  MemoryStream stream(Serialize(request));
-  auto parsed = ReadRequest(stream);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->method, "POST");
-  EXPECT_EQ(parsed->target, "/invoke/wordcount");
-  EXPECT_EQ(parsed->headers.at("x-workflow"), "wc");
-  EXPECT_EQ(parsed->body, request.body);
+  RequestParser parser;
+  std::vector<HttpRequest> parsed;
+  ASSERT_TRUE(FeedInSevens(parser, Serialize(request), &parsed).ok());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].method, "POST");
+  EXPECT_EQ(parsed[0].target, "/invoke/wordcount");
+  EXPECT_EQ(parsed[0].headers.at("x-workflow"), "wc");
+  EXPECT_EQ(parsed[0].body, request.body);
 }
 
 TEST(HttpParseTest, ResponseRoundTrip) {
@@ -68,32 +57,83 @@ TEST(HttpParseTest, ResponseRoundTrip) {
   response.status = 404;
   response.reason = "Not Found";
   response.body = "no such workflow";
-  MemoryStream stream(Serialize(response));
-  auto parsed = ReadResponse(stream);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->status, 404);
-  EXPECT_EQ(parsed->reason, "Not Found");
-  EXPECT_EQ(parsed->body, "no such workflow");
+  ResponseParser parser;
+  std::vector<HttpResponse> parsed;
+  ASSERT_TRUE(FeedInSevens(parser, Serialize(response), &parsed).ok());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].status, 404);
+  EXPECT_EQ(parsed[0].reason, "Not Found");
+  EXPECT_EQ(parsed[0].body, "no such workflow");
+  EXPECT_TRUE(parser.idle());
 }
 
 TEST(HttpParseTest, EmptyBodyWorks) {
-  MemoryStream stream("GET /health HTTP/1.1\r\nhost: x\r\n\r\n");
-  auto parsed = ReadRequest(stream);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->target, "/health");
-  EXPECT_TRUE(parsed->body.empty());
+  RequestParser parser;
+  std::vector<HttpRequest> parsed;
+  ASSERT_TRUE(FeedInSevens(parser, "GET /health HTTP/1.1\r\nhost: x\r\n\r\n",
+                           &parsed)
+                  .ok());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].target, "/health");
+  EXPECT_TRUE(parsed[0].body.empty());
+
+  // A response without Content-Length has an empty body too.
+  ResponseParser response_parser;
+  std::vector<HttpResponse> responses;
+  ASSERT_TRUE(FeedInSevens(response_parser,
+                           "HTTP/1.1 204 No Content\r\nx: y\r\n\r\n",
+                           &responses)
+                  .ok());
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, 204);
+  EXPECT_TRUE(responses[0].body.empty());
 }
 
 TEST(HttpParseTest, MalformedRequestRejected) {
-  MemoryStream stream("NONSENSE\r\n\r\n");
-  EXPECT_FALSE(ReadRequest(stream).ok());
+  RequestParser parser;
+  std::vector<HttpRequest> parsed;
+  EXPECT_FALSE(FeedInSevens(parser, "NONSENSE\r\n\r\n", &parsed).ok());
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST(HttpParseTest, TruncatedBodyRejected) {
-  MemoryStream stream(
-      "POST / HTTP/1.1\r\ncontent-length: 100\r\n\r\nonly a bit");
-  EXPECT_EQ(ReadRequest(stream).status().code(),
-            asbase::ErrorCode::kUnavailable);
+  // The parser completes nothing and keeps owing body bytes...
+  RequestParser parser;
+  std::vector<HttpRequest> parsed;
+  ASSERT_TRUE(FeedInSevens(parser,
+                           "POST / HTTP/1.1\r\ncontent-length: 100\r\n\r\n"
+                           "only a bit",
+                           &parsed)
+                  .ok());
+  EXPECT_TRUE(parsed.empty());
+  EXPECT_FALSE(parser.idle());
+
+  // ...so a client that reads EOF there reports the cut, not a short body.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread server([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    char request[4096];
+    ssize_t got = ::recv(fd, request, sizeof(request), 0);
+    (void)got;
+    const std::string cut =
+        "HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nonly a bit";
+    ssize_t sent = ::send(fd, cut.data(), cut.size(), MSG_NOSIGNAL);
+    (void)sent;
+    ::close(fd);
+  });
+  auto response = HttpCall("127.0.0.1", ntohs(addr.sin_port), HttpRequest{});
+  server.join();
+  ::close(listener);
+  EXPECT_EQ(response.status().code(), asbase::ErrorCode::kUnavailable);
 }
 
 // ------------------------------------------------------------ parser units
@@ -194,6 +234,59 @@ TEST(HttpParseTest, ParserLimitsMapToHttpStatuses) {
   }
 }
 
+TEST(HttpParseTest, MalformedStatusLinesRejected) {
+  for (const std::string bad :
+       {"HTTP/1.1 banana OK", "HTTP/1.1 20 OK", "200 OK", "HTTP/1.1 2000 OK",
+        "HTTP/1.1 099 Low", "HTTP/1.1 600 High", "HTTP/1.1"}) {
+    ResponseParser parser;
+    std::vector<HttpResponse> responses;
+    const auto status = parser.Feed(bad + "\r\n\r\n", &responses);
+    EXPECT_EQ(status.code(), asbase::ErrorCode::kInvalidArgument) << bad;
+    EXPECT_TRUE(responses.empty()) << bad;
+  }
+  // The reason phrase is free text and may be missing.
+  ResponseParser parser;
+  std::vector<HttpResponse> responses;
+  ASSERT_TRUE(parser.Feed("HTTP/1.0 599 Custom  reason\r\n\r\n"
+                          "HTTP/1.1 100\r\n\r\n",
+                          &responses)
+                  .ok());
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, 599);
+  EXPECT_EQ(responses[0].reason, "Custom  reason");
+  EXPECT_EQ(responses[1].status, 100);
+  EXPECT_EQ(responses[1].reason, "");
+}
+
+TEST(HttpParseTest, ResponseParserPoisonsOnMalformedContentLength) {
+  ResponseParser parser;
+  std::vector<HttpResponse> responses;
+  const auto status = parser.Feed(
+      "HTTP/1.1 200 OK\r\ncontent-length: banana\r\n\r\n", &responses);
+  EXPECT_EQ(status.code(), asbase::ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(parser.Feed("HTTP/1.1 200 OK\r\n\r\n", &responses).ok());
+  EXPECT_TRUE(responses.empty());
+}
+
+TEST(HttpParseTest, PipelinedResponsesComeOutInOrder) {
+  const std::string wire =
+      "HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\none"
+      "HTTP/1.1 404 Not Found\r\n\r\n"
+      "HTTP/1.1 503 Service Unavailable\r\nContent-Length: 5\r\n\r\nthree";
+  ResponseParser parser;
+  std::vector<HttpResponse> responses;
+  ASSERT_TRUE(parser.Feed(wire, &responses).ok());  // all three in one Feed
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status, 200);
+  EXPECT_EQ(responses[0].body, "one");
+  EXPECT_EQ(responses[1].status, 404);
+  EXPECT_TRUE(responses[1].body.empty());
+  EXPECT_EQ(responses[2].status, 503);
+  EXPECT_EQ(responses[2].headers.at("content-length"), "5");
+  EXPECT_EQ(responses[2].body, "three");
+  EXPECT_TRUE(parser.idle());
+}
+
 // ------------------------------------------------------------ reactor edge
 
 uint64_t EdgeCounter(const std::string& name) {
@@ -221,72 +314,50 @@ class RawClient {
         ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
     int enable = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    stream_ = std::make_unique<HostStream>(fd_);  // owns + closes fd_
   }
+
+  ~RawClient() { ::close(fd_); }
 
   bool connected() const { return connected_; }
 
   void Send(const std::string& data) {
-    ASSERT_TRUE(stream_
-                    ->Write({reinterpret_cast<const uint8_t*>(data.data()),
-                             data.size()})
-                    .ok());
+    size_t sent = 0;
+    while (sent < data.size()) {
+      const ssize_t n = ::send(fd_, data.data() + sent, data.size() - sent,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      sent += static_cast<size_t>(n);
+    }
   }
 
-  // Buffered response reader. ReadResponse() over-reads into the body and
-  // drops trailing bytes, which loses pipelined responses that share a TCP
-  // segment — so the raw client keeps its own carry-over buffer.
+  // Next response in arrival order. The parser keeps the bytes past each
+  // response, so pipelined responses that share a TCP segment are not lost.
   asbase::Result<HttpResponse> ReadOne() {
-    while (true) {
-      const size_t end = inbuf_.find("\r\n\r\n");
-      if (end != std::string::npos) {
-        HttpResponse response;
-        const std::string head = inbuf_.substr(0, end);
-        const size_t sp1 = head.find(' ');
-        response.status = std::atoi(head.c_str() + sp1 + 1);
-        size_t body_len = 0;
-        size_t pos = head.find("\r\n");
-        while (pos != std::string::npos && pos + 2 < head.size()) {
-          const size_t eol = std::min(head.find("\r\n", pos + 2), head.size());
-          std::string line = head.substr(pos + 2, eol - pos - 2);
-          for (char& c : line) {
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-          }
-          const size_t colon = line.find(':');
-          if (colon != std::string::npos) {
-            const std::string key = line.substr(0, colon);
-            const std::string value = line.substr(line.find_first_not_of(
-                " \t", colon + 1));
-            response.headers[key] = value;
-            if (key == "content-length") {
-              body_len = std::stoul(value);
-            }
-          }
-          pos = eol == head.size() ? std::string::npos : eol;
-        }
-        if (inbuf_.size() >= end + 4 + body_len) {
-          response.body = inbuf_.substr(end + 4, body_len);
-          inbuf_.erase(0, end + 4 + body_len);
-          return response;
-        }
+    while (ready_.empty()) {
+      char buffer[65536];
+      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+      if (n < 0) {
+        return asbase::Unavailable("recv failed");
       }
-      uint8_t buffer[65536];
-      auto n = stream_->Read(buffer);
-      if (!n.ok()) {
-        return n.status();
-      }
-      if (*n == 0) {
+      if (n == 0) {
         return asbase::Unavailable("connection closed mid-response");
       }
-      inbuf_.append(reinterpret_cast<char*>(buffer), *n);
+      std::vector<HttpResponse> parsed;
+      AS_RETURN_IF_ERROR(parser_.Feed(
+          std::string_view(buffer, static_cast<size_t>(n)), &parsed));
+      for (auto& response : parsed) {
+        ready_.push_back(std::move(response));
+      }
     }
+    HttpResponse response = std::move(ready_.front());
+    ready_.pop_front();
+    return response;
   }
 
   // True if the server closed the connection (EOF) before sending bytes.
   bool WaitClosed() {
-    uint8_t byte;
-    auto n = stream_->Read({&byte, 1});
-    return n.ok() && *n == 0;
+    char byte;
+    return ::recv(fd_, &byte, 1, 0) == 0;
   }
 
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
@@ -294,8 +365,8 @@ class RawClient {
  private:
   int fd_ = -1;
   bool connected_ = false;
-  std::unique_ptr<HostStream> stream_;
-  std::string inbuf_;  // bytes read past the last returned response
+  ResponseParser parser_;
+  std::deque<HttpResponse> ready_;  // parsed, not yet returned
 };
 
 HttpServer EchoServer(HttpServerOptions options) {
@@ -608,6 +679,31 @@ TEST(HttpServerTest, CallToDeadPortFails) {
   EXPECT_FALSE(HttpCall("127.0.0.1", 1, request).ok());
 }
 
+// Reads one request or response off a user-space TCP connection.
+template <typename Message>
+asbase::Result<Message> RecvMessage(asnet::TcpConnection& connection) {
+  MessageParser<Message> parser;
+  std::vector<Message> messages;
+  uint8_t buffer[2048];
+  while (messages.empty()) {
+    AS_ASSIGN_OR_RETURN(size_t n, connection.Recv(buffer));
+    if (n == 0) {
+      return asbase::Unavailable("connection closed mid-message");
+    }
+    AS_RETURN_IF_ERROR(parser.Feed(
+        std::string_view(reinterpret_cast<char*>(buffer), n), &messages));
+  }
+  return std::move(messages.front());
+}
+
+asbase::Status SendWire(asnet::TcpConnection& connection,
+                        const std::string& wire) {
+  return asnet::SendAll(
+      connection, std::span<const uint8_t>(
+                      reinterpret_cast<const uint8_t*>(wire.data()),
+                      wire.size()));
+}
+
 TEST(HttpOverNetstackTest, RequestResponseOverUserSpaceTcp) {
   asnet::VirtualSwitch fabric;
   auto server_port = fabric.Attach(asnet::MakeAddr(10, 0, 0, 1));
@@ -620,16 +716,11 @@ TEST(HttpOverNetstackTest, RequestResponseOverUserSpaceTcp) {
   std::thread server_thread([&] {
     auto connection = (*listener)->Accept();
     ASSERT_TRUE(connection.ok());
-    AsnetStream stream(connection->get());
-    auto request = ReadRequest(stream);
+    auto request = RecvMessage<HttpRequest>(**connection);
     ASSERT_TRUE(request.ok());
     HttpResponse response;
     response.body = "hello " + request->target;
-    std::string wire = Serialize(response);
-    ASSERT_TRUE(stream
-                    .Write({reinterpret_cast<const uint8_t*>(wire.data()),
-                            wire.size()})
-                    .ok());
+    ASSERT_TRUE(SendWire(**connection, Serialize(response)).ok());
     (*connection)->Close();
   });
 
@@ -637,7 +728,8 @@ TEST(HttpOverNetstackTest, RequestResponseOverUserSpaceTcp) {
   ASSERT_TRUE(connection.ok());
   HttpRequest request;
   request.target = "/from-libos";
-  auto response = HttpCallOver(**connection, request);
+  ASSERT_TRUE(SendWire(**connection, Serialize(request)).ok());
+  auto response = RecvMessage<HttpResponse>(**connection);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->body, "hello /from-libos");
   server_thread.join();

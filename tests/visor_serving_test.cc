@@ -1117,7 +1117,7 @@ TEST(VisorObservabilityTest, RejectionLeavesFlightRecord) {
 
 TEST(VisorObservabilityTest, ServingOptionsOverrideTraceKnobs) {
   AsVisor visor;
-  // Construction defaults (no env override in the test environment).
+  // Construction defaults: ServingOptions{}.
   EXPECT_EQ(visor.trace_ring_depth(), AsVisor::kTraceRing);
   EXPECT_EQ(visor.trace_threshold_ms(), 0);
   AsVisor::ServingOptions serving;
